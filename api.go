@@ -33,13 +33,13 @@
 //     plus the beyond-paper core-count scaling sweep.
 //   - Sweep layer: Sweep lowers the full {param set × TPU spec × pod
 //     size × workload} cross-product on a worker pool and emits
-//     deterministic records; SweepDiff classifies regressions against
+//     deterministic records; SweepGate classifies regressions against
 //     a committed baseline — the CI perf gate (crossbench -sweep /
 //     -compare).
 //   - Host perf layer: HostBench measures the functional CPU kernels'
 //     real ns/op and steady-state allocs/op at fixed sizes;
-//     HostBenchDiff gates wall time against a generous threshold and
-//     allocations strictly at zero drift (crossbench -hostbench,
+//     HostBenchGate gates wall time against a generous threshold and
+//     fails on any allocation increase (crossbench -hostbench,
 //     BENCH_host.json).
 //   - Serving layer: Serve runs the discrete-event serving simulator —
 //     an open-loop arrival process over a workload mix, dynamic
@@ -55,9 +55,13 @@
 //     (host wall clock plus the paper's published TPU/GPU figures)
 //     with the simulator's prediction for the same work, fits the
 //     model's free constants (Calibration) by deterministic least
-//     squares, and reports per-kernel model error; CalibDiff gates
+//     squares, and reports per-kernel model error; CalibGate gates
 //     model drift against the committed BENCH_calib.json (crossbench
 //     -calib).
+//
+// All three gates run on one engine (internal/gate): each source maps
+// its records to ID-keyed records with named metrics and a policy per
+// metric, and every gate returns the same GateResult (DESIGN.md §9).
 //
 // See DESIGN.md (§ "Schedule IR & Targets") for the system inventory
 // and EXPERIMENTS.md for the reproduction results.
@@ -71,6 +75,7 @@ import (
 	"cross/internal/ckks"
 	icross "cross/internal/cross"
 	"cross/internal/faults"
+	"cross/internal/gate"
 	"cross/internal/gpusim"
 	"cross/internal/harness"
 	"cross/internal/hostbench"
@@ -492,30 +497,25 @@ type SweepConfig = sweep.Config
 // and the CI perf gate diff on.
 type SweepRecord = sweep.Record
 
-// SweepDiffResult is the classified old-vs-new comparison of two
-// sweeps (regressions, improvements, coverage drift).
-type SweepDiffResult = sweep.DiffResult
-
 // Sweep lowers the configured cross-product concurrently and returns
 // deterministic, stably-ordered records — bit-identical at every
 // parallelism (the parallel run is tested byte-equal to the serial
 // one).
 func Sweep(cfg SweepConfig) ([]SweepRecord, error) { return sweep.Run(cfg) }
 
-// Gated sweep metrics (SweepDiffResult.FilterMetric, crossbench
-// -metric): the serial total and the overlap-aware makespan.
-const (
-	SweepMetricTotal      = sweep.MetricTotal
-	SweepMetricOverlapped = sweep.MetricOverlapped
-)
+// GateResult is the verdict of any of the three CI gates (sweep, host
+// wall clock, calibration drift): regressions, improvements,
+// unchanged count, record- and metric-level coverage drift, and
+// warnings. Its Failed is the condition crossbench -compare exits
+// non-zero on.
+type GateResult = gate.Result
 
-// SweepDiff compares two sweeps record-by-record and classifies each
-// latency change — total_s always, overlapped_s when both sides carry
-// the column — against the fractional threshold (0.005 = 0.5%, the CI
-// gate's default). The result's HasRegressions is the gate condition
-// crossbench -compare exits non-zero on.
-func SweepDiff(old, new []SweepRecord, threshold float64) SweepDiffResult {
-	return sweep.Diff(old, new, threshold)
+// SweepGate compares a fresh sweep against a baseline: total_s and
+// overlapped_s each regress beyond the fractional threshold (0.005 =
+// 0.5%, the CI gate's default); an overlapped_s column carried by one
+// side only is coverage drift.
+func SweepGate(old, new []SweepRecord, threshold float64) GateResult {
+	return sweep.Gate(old, new, threshold)
 }
 
 // ---- Host (wall-clock) perf-gating layer ----
@@ -525,10 +525,6 @@ func SweepDiff(old, new []SweepRecord, threshold float64) SweepDiffResult {
 // stable schema BENCH_host.json and the hostbench CI gate diff on.
 type HostBenchRecord = hostbench.Record
 
-// HostBenchDiffResult is the classified old-vs-new comparison of two
-// host benchmark runs.
-type HostBenchDiffResult = hostbench.DiffResult
-
 // HostBench measures the host-side functional kernels (NTT/INTT,
 // VecMod, automorphism, matrix NTT, BAT MatMul, BConv) at fixed sizes
 // and returns stably-ordered records. Unlike Sweep, these are real
@@ -536,16 +532,9 @@ type HostBenchDiffResult = hostbench.DiffResult
 // baseline recorded on comparable hardware.
 func HostBench() ([]HostBenchRecord, error) { return hostbench.Run() }
 
-// HostBenchDiff compares two host benchmark runs. Wall time is
-// classified against the fractional threshold (generous — CI runners
-// are noisy); allocs/op is gated strictly at zero drift.
-func HostBenchDiff(old, new []HostBenchRecord, threshold float64) HostBenchDiffResult {
-	return hostbench.Diff(old, new, threshold)
-}
-
 // HostBenchEnvironment captures the machine a host run was measured on
 // (CPU model, GOMAXPROCS, Go version, …); mismatches against a
-// baseline surface as diff warnings.
+// baseline surface as gate warnings.
 type HostBenchEnvironment = hostbench.Environment
 
 // HostBenchFile is the BENCH_host.json schema: the measuring
@@ -556,10 +545,11 @@ type HostBenchFile = hostbench.File
 // environment — the content written to BENCH_host.json.
 func HostBenchRunFile() (HostBenchFile, error) { return hostbench.RunFile() }
 
-// HostBenchDiffFiles compares two host benchmark files: records as
-// HostBenchDiff, plus environment-mismatch warnings.
-func HostBenchDiffFiles(old, new HostBenchFile, threshold float64) HostBenchDiffResult {
-	return hostbench.DiffFiles(old, new, threshold)
+// HostBenchGate compares a fresh host run against a baseline: ns/op
+// regresses beyond the fractional threshold (generous — CI runners are
+// noisy), allocs/op on any increase, and environment mismatches warn.
+func HostBenchGate(old, new HostBenchFile, threshold float64) GateResult {
+	return hostbench.Gate(old, new, threshold)
 }
 
 // ---- Calibration / model-drift-gating layer ----
@@ -581,10 +571,6 @@ type CalibSpecFit = calib.SpecFit
 // calibration record, every spec's fit, and the measuring environment.
 type CalibReport = calib.Report
 
-// CalibDiffResult is the classified comparison of two calibration
-// reports — the calib-gate's verdict.
-type CalibDiffResult = calib.DiffResult
-
 // Calib measures ground truth (host kernels timed here; published
 // TPU/GPU figures from the paper), prices the same work through the
 // roofline model, and least-squares fits each spec's free constants.
@@ -592,12 +578,13 @@ type CalibDiffResult = calib.DiffResult
 // the machine and are warning-gated only.
 func Calib(cfg CalibConfig) (*CalibReport, error) { return calib.Run(cfg) }
 
-// CalibDiff compares two calibration reports against the fractional
-// drift threshold. Its HasRegressions is the calib-gate condition:
-// published-record model-error growth or published-spec constant
-// drift fails; host drift and environment mismatches only warn.
-func CalibDiff(old, new *CalibReport, threshold float64) CalibDiffResult {
-	return calib.Diff(old, new, threshold)
+// CalibGate compares a calibration report against a baseline at the
+// drift threshold: published-record model-error growth or a
+// published-spec fitted constant moving either way fails; host drift
+// and environment mismatches only warn, and a spec fit present on one
+// side only is coverage drift.
+func CalibGate(old, new *CalibReport, threshold float64) GateResult {
+	return calib.Gate(old, new, threshold)
 }
 
 // CalibKernels lists the kernel names Compiler.PredictKernel prices —

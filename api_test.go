@@ -287,12 +287,12 @@ func TestSweepFacade(t *testing.T) {
 		t.Error("SetD/TPUv6e-4/HE-Mult missing from sweep")
 	}
 
-	// SweepDiff: +1% injected latency gates, −1% reports improvement.
+	// SweepGate: +1% injected latency gates, −1% reports improvement.
 	bumped := append([]SweepRecord(nil), recs...)
 	bumped[0].TotalS *= 1.01
 	bumped[1].TotalS *= 0.99
-	d := SweepDiff(recs, bumped, 0.005)
-	if !d.HasRegressions() || len(d.Regressions) != 1 || d.Regressions[0].ID != recs[0].ID {
+	d := SweepGate(recs, bumped, 0.005)
+	if !d.Failed() || len(d.Regressions) != 1 || d.Regressions[0].ID != recs[0].ID {
 		t.Errorf("+1%% not gated: %+v", d.Regressions)
 	}
 	if len(d.Improvements) != 1 || d.Improvements[0].ID != recs[1].ID {
@@ -487,7 +487,7 @@ func TestCalibFacade(t *testing.T) {
 		t.Errorf("derated calibration did not slow the model: %g <= %g", sSlow.Total, sDefault.Total)
 	}
 
-	// CalibDiff gates injected model drift on a published record.
+	// CalibGate gates injected model drift on a published record.
 	mk := func() *CalibReport {
 		return &CalibReport{Records: []CalibRecord{
 			{ID: "TPUv4/ntt_throughput/N4096", Spec: "TPUv4", Source: "published", RelErrFitted: 0.05},
@@ -495,22 +495,22 @@ func TestCalibFacade(t *testing.T) {
 	}
 	old, cur := mk(), mk()
 	cur.Records[0].RelErrFitted = 0.40
-	if d := CalibDiff(old, cur, 0.10); !d.HasRegressions() {
+	if d := CalibGate(old, cur, 0.10); !d.Failed() {
 		t.Error("injected model drift not gated")
 	}
-	if d := CalibDiff(old, mk(), 0.10); d.HasRegressions() {
+	if d := CalibGate(old, mk(), 0.10); d.Failed() {
 		t.Error("self-diff not clean")
 	}
 
-	// Host-file diffing surfaces environment mismatches as warnings.
+	// The host gate surfaces environment mismatches as warnings.
 	recs := []HostBenchRecord{{ID: "ntt_inplace/N8192", NsPerOp: 100}}
 	a := HostBenchFile{Env: HostBenchEnvironment{GoVersion: "go1.23.0"}, Records: recs}
 	b := HostBenchFile{Env: HostBenchEnvironment{GoVersion: "go1.24.0"}, Records: recs}
-	d := HostBenchDiffFiles(a, b, 0.25)
-	if d.HasRegressions() {
+	d := HostBenchGate(a, b, 0.25)
+	if d.Failed() {
 		t.Error("env mismatch must not gate")
 	}
-	if len(d.EnvWarnings) == 0 {
+	if len(d.Warnings) == 0 {
 		t.Error("expected an environment warning")
 	}
 }

@@ -19,9 +19,8 @@
 //	crossbench -versus TPUv6e-16,H100-8 -set D -json  # machine-readable comparison
 //	crossbench -versus A100-80GB-8,H100-8 -out versus.json
 //	crossbench -sweep -parallel 8 -json       # full sweep, machine-readable
-//	crossbench -compare BENCH_baseline.json   # fresh sweep vs baseline; exit 1 on regression
+//	crossbench -compare BENCH_baseline.json   # fresh sweep vs baseline (total_s and overlapped_s); exit 1 on regression
 //	crossbench -compare BENCH_baseline.json -threshold 0.01
-//	crossbench -compare BENCH_baseline.json -metric overlapped  # gate only the overlap-aware column
 //	crossbench -compare BENCH_baseline.json -out sweep.json  # keep the fresh sweep too
 //	crossbench -hostbench                     # measure host kernels (real ns/op + allocs/op)
 //	crossbench -hostbench -compare BENCH_host.json -threshold 0.25  # wall-clock gate
@@ -54,7 +53,7 @@
 // -list prints a string array of identifiers; -sweep prints the sweep
 // records (deterministic and stably ordered — bit-identical at every
 // -parallel value, so the output is committable as a baseline);
-// -compare prints the classified diff; every other mode prints Report
+// every -compare prints the gate verdict; every other mode prints Report
 // objects ({"ID","Title","Body","Notes"}).
 //
 // Run with: go run ./cmd/crossbench [flags]
@@ -82,60 +81,35 @@ func emitJSON(v any) {
 	}
 }
 
-// readBaseline loads a committed sweep (BENCH_baseline.json).
-func readBaseline(path string) ([]cross.SweepRecord, error) {
+// readBaseline loads a committed baseline (BENCH_baseline.json,
+// BENCH_host.json or BENCH_calib.json) and rejects one with no
+// records, which would otherwise gate nothing and pass.
+func readBaseline[T any](path string, records func(T) int) (T, error) {
+	var v T
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return v, err
 	}
-	var recs []cross.SweepRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
+	if err := json.Unmarshal(data, &v); err != nil {
+		return v, fmt.Errorf("parse %s: %w", path, err)
 	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("%s holds no sweep records", path)
+	if records(v) == 0 {
+		return v, fmt.Errorf("%s holds no records", path)
 	}
-	return recs, nil
+	return v, nil
 }
 
-// readHostBaseline loads a committed host benchmark (BENCH_host.json).
-// Both schemas parse: the current File form ({"env": …, "records": …})
-// and the legacy bare record array, which diffs with no environment
-// metadata (every env check skips).
-func readHostBaseline(path string) (cross.HostBenchFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return cross.HostBenchFile{}, err
+// finishGate prints a gate verdict (or emits it as JSON) and exits 1
+// when the gate failed — the one exit path of every -compare mode.
+func finishGate(r cross.GateResult, asJSON bool) {
+	if asJSON {
+		emitJSON(r)
+	} else {
+		fmt.Print(r.Summary())
 	}
-	var file cross.HostBenchFile
-	if err := json.Unmarshal(data, &file); err == nil && len(file.Records) > 0 {
-		return file, nil
+	if r.Failed() {
+		os.Exit(1)
 	}
-	var recs []cross.HostBenchRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return cross.HostBenchFile{}, fmt.Errorf("parse %s: %w", path, err)
-	}
-	if len(recs) == 0 {
-		return cross.HostBenchFile{}, fmt.Errorf("%s holds no host benchmark records", path)
-	}
-	return cross.HostBenchFile{Records: recs}, nil
-}
-
-// readCalibBaseline loads a committed calibration report
-// (BENCH_calib.json).
-func readCalibBaseline(path string) (*cross.CalibReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep cross.CalibReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	if len(rep.Records) == 0 {
-		return nil, fmt.Errorf("%s holds no calibration records", path)
-	}
-	return &rep, nil
 }
 
 // runHostBench handles -hostbench (optionally with -compare/-out):
@@ -163,20 +137,12 @@ func runHostBench(compare string, threshold float64, out string, asJSON bool) {
 		}
 		return
 	}
-	baseline, err := readHostBaseline(compare)
+	baseline, err := readBaseline(compare, func(f cross.HostBenchFile) int { return len(f.Records) })
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crossbench:", err)
 		os.Exit(1)
 	}
-	diff := cross.HostBenchDiffFiles(baseline, file, threshold)
-	if asJSON {
-		emitJSON(diff)
-	} else {
-		fmt.Print(diff.Summary())
-	}
-	if diff.HasRegressions() {
-		os.Exit(1)
-	}
+	finishGate(cross.HostBenchGate(baseline, file, threshold), asJSON)
 }
 
 // runCalib handles -calib (optionally with -compare/-out): run the
@@ -202,20 +168,12 @@ func runCalib(compare string, threshold float64, cfg cross.CalibConfig, out stri
 		fmt.Print(rep.Summary())
 		return
 	}
-	baseline, err := readCalibBaseline(compare)
+	baseline, err := readBaseline(compare, func(r cross.CalibReport) int { return len(r.Records) })
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crossbench:", err)
 		os.Exit(1)
 	}
-	diff := cross.CalibDiff(baseline, rep, threshold)
-	if asJSON {
-		emitJSON(diff)
-	} else {
-		fmt.Print(diff.Summary())
-	}
-	if diff.HasRegressions() {
-		os.Exit(1)
-	}
+	finishGate(cross.CalibGate(&baseline, rep, threshold), asJSON)
 }
 
 // runRefreshBaselines rewrites all three committed baselines from one
@@ -435,15 +393,14 @@ func main() {
 	retries := flag.Int("retries", 0, "faults: max re-dispatches for a request lost to a crash or batch error")
 	hedge := flag.Bool("hedge", false, "faults: hedged dispatch — copy a slow batch to an idle pod, first finisher wins")
 	shed := flag.Int("shed", 0, "faults: shed arrivals when the dispatched pod already queues this many requests (0 = unbounded)")
-	compare := flag.String("compare", "", "run a fresh sweep (or host benchmark with -hostbench) and diff it against a baseline JSON file; exit 1 on regression")
-	metric := flag.String("metric", "all", "sweep -compare: gate on one latency column — total, overlapped, or all")
+	compare := flag.String("compare", "", "run a fresh sweep (or host benchmark with -hostbench, calibration with -calib) and gate it against a baseline JSON file; exit 1 on regression")
 	parallel := flag.Int("parallel", 0, "sweep worker count (0 = NumCPU); output is identical at every value")
 	threshold := flag.Float64("threshold", 0.005, "fractional regression threshold for -compare (0.005 = 0.5%; -hostbench defaults to 0.25, -calib to 0.10)")
 	out := flag.String("out", "", "also write the fresh records JSON to this file (-sweep, -hostbench or -compare); lets CI keep the artifact without running the measurement twice")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of formatted tables")
 	flag.Parse()
 
-	deviceSet, thresholdSet, parallelSet, outSet, metricSet, setSet, repeatsSet := false, false, false, false, false, false, false
+	deviceSet, thresholdSet, parallelSet, outSet, setSet, repeatsSet := false, false, false, false, false, false
 	serveFlagSet, faultFlagSet := "", ""
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -455,8 +412,6 @@ func main() {
 			parallelSet = true
 		case "out":
 			outSet = true
-		case "metric":
-			metricSet = true
 		case "set":
 			setSet = true
 		case "repeats":
@@ -530,21 +485,6 @@ func main() {
 	}
 	if faultFlagSet != "" && !*faultsMode && !*chaosMode {
 		fmt.Fprintf(os.Stderr, "crossbench: -%s only applies to -serve -faults and -chaos\n", faultFlagSet)
-		os.Exit(1)
-	}
-	if metricSet && (*compare == "" || *hostbenchMode || *calibMode) {
-		fmt.Fprintln(os.Stderr, "crossbench: -metric only applies to sweep -compare")
-		os.Exit(1)
-	}
-	gateMetric := ""
-	switch *metric {
-	case "all":
-	case "total":
-		gateMetric = cross.SweepMetricTotal
-	case "overlapped":
-		gateMetric = cross.SweepMetricOverlapped
-	default:
-		fmt.Fprintf(os.Stderr, "crossbench: -metric must be total, overlapped or all, got %q\n", *metric)
 		os.Exit(1)
 	}
 
@@ -660,7 +600,7 @@ func main() {
 	}
 
 	if *compare != "" {
-		baseline, err := readBaseline(*compare)
+		baseline, err := readBaseline(*compare, func(r []cross.SweepRecord) int { return len(r) })
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "crossbench:", err)
 			os.Exit(1)
@@ -676,15 +616,7 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		diff := cross.SweepDiff(baseline, recs, *threshold).FilterMetric(gateMetric)
-		if *asJSON {
-			emitJSON(diff)
-		} else {
-			fmt.Print(diff.Summary())
-		}
-		if diff.HasRegressions() {
-			os.Exit(1)
-		}
+		finishGate(cross.SweepGate(baseline, recs, *threshold), *asJSON)
 		return
 	}
 

@@ -305,7 +305,7 @@ func gpuGroup() group {
 // Run measures, predicts, and fits every spec, returning the full
 // report. Published-source content is deterministic; host records
 // carry real timings and vary with the machine (the gate treats them
-// as warnings, Diff).
+// as warnings, Gate).
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 

@@ -1,6 +1,7 @@
 package calib
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -33,15 +34,15 @@ func baseReport() *Report {
 	}
 }
 
-// The gate test, same pattern as sweep.Classify's: injected model
-// drift on a published record must fail the diff.
+// The gate test: injected model drift on a published record must fail
+// the gate, and so must a non-finite model error.
 func TestDiffGatesInjectedModelDrift(t *testing.T) {
 	old := baseReport()
 	cur := baseReport()
 	// Inject drift: the TPUv4 NTT model error grows 5% → 30%.
 	cur.Records[0].RelErrFitted = 0.30
-	d := Diff(old, cur, 0.10)
-	if !d.HasRegressions() {
+	d := Gate(old, cur, 0.10)
+	if !d.Failed() {
 		t.Fatal("injected 25-point model-error drift must fail the gate")
 	}
 	if len(d.Regressions) != 1 || d.Regressions[0].ID != "TPUv4/ntt_throughput/N4096" {
@@ -49,6 +50,10 @@ func TestDiffGatesInjectedModelDrift(t *testing.T) {
 	}
 	if s := d.Summary(); !strings.Contains(s, "REGRESSION") {
 		t.Errorf("summary does not flag the regression:\n%s", s)
+	}
+	cur.Records[0].RelErrFitted = math.NaN()
+	if d := Gate(old, cur, 0.10); !d.Failed() {
+		t.Error("NaN model error passed the gate")
 	}
 }
 
@@ -58,11 +63,11 @@ func TestDiffHostDriftWarnsOnly(t *testing.T) {
 	old := baseReport()
 	cur := baseReport()
 	cur.Records[2].RelErrFitted = 0.50
-	d := Diff(old, cur, 0.10)
-	if d.HasRegressions() {
+	d := Gate(old, cur, 0.10)
+	if d.Failed() {
 		t.Fatalf("host drift must not fail the gate: %+v", d.Regressions)
 	}
-	if len(d.Warnings) == 0 || !strings.Contains(d.Warnings[0], "host record") {
+	if len(d.Warnings) != 1 || !strings.Contains(d.Warnings[0], "host-cpu/vecaddmod/N8192") {
 		t.Fatalf("expected a host-record warning, got %v", d.Warnings)
 	}
 }
@@ -73,40 +78,58 @@ func TestDiffImprovementAndUnchanged(t *testing.T) {
 	old := baseReport()
 	cur := baseReport()
 	cur.Records[1].RelErrFitted = 0.02 // |−0.10| → 0.02: improvement
-	d := Diff(old, cur, 0.05)
-	if d.HasRegressions() {
+	d := Gate(old, cur, 0.05)
+	if d.Failed() {
 		t.Fatalf("unexpected regressions: %+v", d.Regressions)
 	}
 	if len(d.Improvements) != 1 || d.Improvements[0].ID != "TPUv4/bootstrap_amortized/SetD" {
 		t.Fatalf("improvements = %+v", d.Improvements)
 	}
-	if d.Unchanged != 2 {
-		t.Fatalf("unchanged = %d, want 2", d.Unchanged)
+	if d.Unchanged != 2+8 { // two records, plus two fits × four constants
+		t.Fatalf("unchanged = %d, want 10", d.Unchanged)
 	}
 }
 
 // Fitted-constant drift on a published spec is deterministic, so it
-// gates; the same drift on the host spec warns.
+// gates in both directions; the same drift on the host spec warns.
 func TestDiffConstantDrift(t *testing.T) {
 	old := baseReport()
 	cur := baseReport()
-	cur.Fits[0].Fitted.NTTEfficiency = 4 // published: 2 → 4
+	cur.Fits[0].Fitted.NTTEfficiency = 4  // published: 2 → 4
+	cur.Fits[0].Fitted.HBMFraction = 0.25 // published: 0.5 → 0.25
 	cur.Fits[1].Fitted.LaunchOverhead = 1e-6
-	d := Diff(old, cur, 0.10)
-	if !d.HasRegressions() {
+	d := Gate(old, cur, 0.10)
+	if !d.Failed() {
 		t.Fatal("published constant drift must fail the gate")
 	}
-	if len(d.ConstantDrift) != 1 || !strings.Contains(d.ConstantDrift[0], "TPUv4") {
-		t.Fatalf("ConstantDrift = %v", d.ConstantDrift)
+	var got []string
+	for _, r := range d.Regressions {
+		got = append(got, r.ID+"."+r.Metric)
 	}
-	foundHost := false
-	for _, w := range d.Warnings {
-		if strings.Contains(w, "host constants drifted") {
-			foundHost = true
-		}
+	if strings.Join(got, " ") != "fit/TPUv4.hbm_fraction fit/TPUv4.ntt_efficiency" {
+		t.Fatalf("regressions = %v, want both TPUv4 constants", got)
 	}
-	if !foundHost {
+	if len(d.Warnings) != 1 || !strings.Contains(d.Warnings[0], "fit/host-cpu") || !strings.Contains(d.Warnings[0], "launch_overhead_s") {
 		t.Fatalf("host constant drift must warn: %v", d.Warnings)
+	}
+}
+
+// A spec fit that appears in or drops out of the report is coverage
+// drift, reported in both directions.
+func TestGateFitCoverage(t *testing.T) {
+	old := baseReport()
+	cur := baseReport()
+	cur.Fits = append(cur.Fits, SpecFit{Spec: "A100-40GB", Source: SourcePublished,
+		Fitted: tpusim.Calibration{LaunchOverhead: 1e-6, HBMFraction: 1, VMEMFraction: 1, NTTEfficiency: 1}})
+	d := Gate(old, cur, 0.10)
+	if d.Failed() || len(d.OnlyInNew) != 1 || d.OnlyInNew[0] != "fit/A100-40GB" {
+		t.Fatalf("fit only in new run: failed %v, OnlyInNew %v", d.Failed(), d.OnlyInNew)
+	}
+	cur = baseReport()
+	cur.Fits = cur.Fits[1:]
+	d = Gate(old, cur, 0.10)
+	if d.Failed() || len(d.OnlyInOld) != 1 || d.OnlyInOld[0] != "fit/TPUv4" {
+		t.Fatalf("fit only in baseline: failed %v, OnlyInOld %v", d.Failed(), d.OnlyInOld)
 	}
 }
 
@@ -115,8 +138,8 @@ func TestDiffEnvMismatchWarns(t *testing.T) {
 	old := baseReport()
 	cur := baseReport()
 	cur.Env.GoVersion = "go1.24.0"
-	d := Diff(old, cur, 0.10)
-	if d.HasRegressions() {
+	d := Gate(old, cur, 0.10)
+	if d.Failed() {
 		t.Fatal("env mismatch must not fail the gate")
 	}
 	found := false
@@ -133,15 +156,15 @@ func TestDiffEnvMismatchWarns(t *testing.T) {
 // Identical reports diff clean, and coverage drift is reported.
 func TestDiffCleanAndCoverage(t *testing.T) {
 	old := baseReport()
-	d := Diff(old, baseReport(), 0.10)
-	if d.HasRegressions() || len(d.Improvements) != 0 || d.Unchanged != 3 || len(d.Warnings) != 0 {
+	d := Gate(old, baseReport(), 0.10)
+	if d.Failed() || len(d.Improvements) != 0 || d.Unchanged != 3+8 || len(d.Warnings) != 0 {
 		t.Fatalf("self-diff not clean: %+v", d)
 	}
 
 	cur := baseReport()
 	cur.Records = cur.Records[:2]
 	cur.Records = append(cur.Records, calibRec("H100/ntt_throughput/N4096", SourcePublished, 0.01))
-	d = Diff(old, cur, 0.10)
+	d = Gate(old, cur, 0.10)
 	if len(d.OnlyInOld) != 1 || len(d.OnlyInNew) != 1 {
 		t.Fatalf("coverage drift not reported: %+v", d)
 	}

@@ -5,11 +5,13 @@ import (
 	"os"
 	"runtime"
 	"strings"
+
+	"cross/internal/gate"
 )
 
 // Environment records where a host benchmark ran. Host numbers are only
 // comparable on like hardware, so the baseline file carries its
-// environment and Diff warns — without failing the gate — when the
+// environment and Gate warns — without failing the gate — when the
 // current machine differs (a v2 runner comparing against a v1 baseline
 // explains a 20% "regression" better than the code does).
 type Environment struct {
@@ -51,14 +53,14 @@ func cpuModel() string {
 }
 
 // Mismatches compares a baseline environment against the current one
-// and describes every field that differs. Fields the baseline left
-// empty are skipped, so a legacy baseline with no environment block
-// produces no warnings.
+// and returns one gate warning per field that differs. Fields the
+// baseline left empty are skipped, so a baseline with no environment
+// block produces no warnings.
 func (e Environment) Mismatches(current Environment) []string {
 	var w []string
 	diff := func(field, old, new string) {
 		if old != "" && old != new {
-			w = append(w, fmt.Sprintf("%s: baseline %q vs current %q", field, old, new))
+			w = append(w, fmt.Sprintf("environment mismatch — %s: baseline %q vs current %q", field, old, new))
 		}
 	}
 	diff("go_version", e.GoVersion, current.GoVersion)
@@ -66,17 +68,16 @@ func (e Environment) Mismatches(current Environment) []string {
 	diff("goarch", e.GOARCH, current.GOARCH)
 	diff("cpu_model", e.CPUModel, current.CPUModel)
 	if e.NumCPU != 0 && e.NumCPU != current.NumCPU {
-		w = append(w, fmt.Sprintf("num_cpu: baseline %d vs current %d", e.NumCPU, current.NumCPU))
+		w = append(w, fmt.Sprintf("environment mismatch — num_cpu: baseline %d vs current %d", e.NumCPU, current.NumCPU))
 	}
 	if e.GOMAXPROCS != 0 && e.GOMAXPROCS != current.GOMAXPROCS {
-		w = append(w, fmt.Sprintf("gomaxprocs: baseline %d vs current %d", e.GOMAXPROCS, current.GOMAXPROCS))
+		w = append(w, fmt.Sprintf("environment mismatch — gomaxprocs: baseline %d vs current %d", e.GOMAXPROCS, current.GOMAXPROCS))
 	}
 	return w
 }
 
 // File is the on-disk BENCH_host.json schema: the measured records plus
-// the environment they were measured on. The pre-environment schema (a
-// bare record array) is still read by crossbench for compatibility.
+// the environment they were measured on.
 type File struct {
 	Env     Environment `json:"env"`
 	Records []Record    `json:"records"`
@@ -92,12 +93,23 @@ func RunFile() (File, error) {
 	return File{Env: CurrentEnvironment(), Records: recs}, nil
 }
 
-// DiffFiles compares two environment-carrying runs: records gate
-// exactly as Diff, and environment mismatches surface as warnings —
-// never regressions, because measuring on different CI hardware is
-// expected and must not hard-fail the gate.
-func DiffFiles(old, new File, threshold float64) DiffResult {
-	d := Diff(old.Records, new.Records, threshold)
-	d.EnvWarnings = old.Env.Mismatches(new.Env)
-	return d
+// Gate compares a fresh host run against a baseline (BENCH_host.json):
+// ns/op regresses beyond the fractional threshold, allocs/op on any
+// increase, and environment mismatches are warnings, never failures,
+// because measuring on different CI hardware is expected.
+func Gate(old, new File, threshold float64) gate.Result {
+	r := gate.Diff("hostbench", gateRecords(old.Records), gateRecords(new.Records), []gate.Metric{
+		{Name: "ns_per_op", Policy: gate.Relative, Threshold: threshold},
+		{Name: "allocs_per_op", Policy: gate.NoIncrease},
+	})
+	r.Warnings = append(r.Warnings, old.Env.Mismatches(new.Env)...)
+	return r
+}
+
+func gateRecords(recs []Record) []gate.Record {
+	out := make([]gate.Record, len(recs))
+	for i, r := range recs {
+		out[i] = gate.Record{ID: r.ID, Values: map[string]float64{"ns_per_op": r.NsPerOp, "allocs_per_op": r.AllocsPerOp}}
+	}
+	return out
 }

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// Regression test for the environment-metadata hole: BENCH_host.json
-// used to carry bare records, so a baseline measured on one CI machine
-// gated runs on entirely different hardware with no trace. DiffFiles
-// must surface the mismatch — as a warning, never a regression.
+// A baseline measured on one CI machine must not gate runs on
+// different hardware without a trace: Gate surfaces the mismatch — as
+// a warning, never a regression.
 func TestDiffFilesWarnsOnEnvMismatch(t *testing.T) {
 	recs := []Record{rec("k", 100, 0)}
 	base := File{
@@ -22,17 +21,17 @@ func TestDiffFilesWarnsOnEnvMismatch(t *testing.T) {
 	cur.Env.CPUModel = "New CPU @ 3.5GHz"
 	cur.Env.GOMAXPROCS = 16
 
-	d := DiffFiles(base, cur, 0.25)
-	if d.HasRegressions() {
+	d := Gate(base, cur, 0.25)
+	if d.Failed() {
 		t.Fatalf("environment drift must not be a regression: %+v", d.Regressions)
 	}
-	if len(d.EnvWarnings) != 2 {
-		t.Fatalf("EnvWarnings = %v, want cpu_model and gomaxprocs", d.EnvWarnings)
+	if len(d.Warnings) != 2 {
+		t.Fatalf("Warnings = %v, want cpu_model and gomaxprocs", d.Warnings)
 	}
-	joined := strings.Join(d.EnvWarnings, "\n")
+	joined := strings.Join(d.Warnings, "\n")
 	for _, want := range []string{"cpu_model", "gomaxprocs", "Old CPU", "New CPU"} {
 		if !strings.Contains(joined, want) {
-			t.Errorf("EnvWarnings missing %q: %v", want, d.EnvWarnings)
+			t.Errorf("Warnings missing %q: %v", want, d.Warnings)
 		}
 	}
 	if s := d.Summary(); !strings.Contains(s, "environment mismatch") {
@@ -40,15 +39,15 @@ func TestDiffFilesWarnsOnEnvMismatch(t *testing.T) {
 	}
 }
 
-// A legacy baseline (bare record array → zero Environment) must compare
+// A baseline with no environment block (zero Environment) must compare
 // warning-free against any host.
 func TestDiffFilesLegacyBaselineNoWarnings(t *testing.T) {
 	recs := []Record{rec("k", 100, 0)}
-	d := DiffFiles(File{Records: recs}, File{Env: CurrentEnvironment(), Records: recs}, 0.25)
-	if len(d.EnvWarnings) != 0 {
-		t.Fatalf("zero baseline env must not warn: %v", d.EnvWarnings)
+	d := Gate(File{Records: recs}, File{Env: CurrentEnvironment(), Records: recs}, 0.25)
+	if len(d.Warnings) != 0 {
+		t.Fatalf("zero baseline env must not warn: %v", d.Warnings)
 	}
-	if d.HasRegressions() || d.Unchanged != 1 {
+	if d.Failed() || d.Unchanged != 2 {
 		t.Fatalf("records must still gate normally: %+v", d)
 	}
 }

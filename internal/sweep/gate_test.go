@@ -3,9 +3,11 @@ package sweep
 import (
 	"math"
 	"testing"
+
+	"cross/internal/gate"
 )
 
-// rec builds a minimal record for diff tests.
+// rec builds a minimal record for gate tests.
 func rec(id string, total float64) Record {
 	return Record{ID: id, TotalS: total}
 }
@@ -26,20 +28,20 @@ func TestDiffClassification(t *testing.T) {
 		rec("SetD/TPUv6e-1/MNIST", 2e-3),     // unchanged
 	}
 
-	d := Diff(old, newer, threshold)
-	if !d.HasRegressions() {
+	d := Gate(old, newer, threshold)
+	if !d.Failed() {
 		t.Fatal("+1% latency not flagged as regression")
 	}
 	if len(d.Regressions) != 1 || d.Regressions[0].ID != "SetD/TPUv6e-1/HE-Mult" {
 		t.Errorf("regressions = %+v, want exactly the +1%% record", d.Regressions)
 	}
-	if got := d.Regressions[0].Rel; math.Abs(got-0.01) > 1e-9 {
+	if got := d.Regressions[0].Change; math.Abs(got-0.01) > 1e-9 {
 		t.Errorf("regression rel = %g, want 0.01", got)
 	}
 	if len(d.Improvements) != 1 || d.Improvements[0].ID != "SetD/TPUv6e-1/Rotate" {
 		t.Errorf("improvements = %+v, want exactly the −1%% record", d.Improvements)
 	}
-	if got := d.Improvements[0].Rel; math.Abs(got+0.01) > 1e-9 {
+	if got := d.Improvements[0].Change; math.Abs(got+0.01) > 1e-9 {
 		t.Errorf("improvement rel = %g, want −0.01", got)
 	}
 	if d.Unchanged != 1 {
@@ -56,22 +58,24 @@ func TestDiffThresholdBoundary(t *testing.T) {
 		newS  float64
 		class string
 	}{
-		{"well within", 100.2e-6, ClassUnchanged},
-		{"exactly at threshold", 100.5e-6, ClassUnchanged}, // gate is strict >
-		{"just beyond", 100.6e-6, ClassRegression},
-		{"faster within", 99.6e-6, ClassUnchanged},
-		{"faster beyond", 99.4e-6, ClassImprovement},
+		{"well within", 100.2e-6, "unchanged"},
+		{"exactly at threshold", 100.5e-6, "unchanged"}, // gate is strict >
+		{"just beyond", 100.6e-6, "regression"},
+		{"faster within", 99.6e-6, "unchanged"},
+		{"faster beyond", 99.4e-6, "improvement"},
+		{"NaN", math.NaN(), "regression"},
+		{"+Inf", math.Inf(1), "regression"},
 	}
 	for _, tc := range cases {
-		d := Diff([]Record{rec("x", 100e-6)}, []Record{rec("x", tc.newS)}, threshold)
+		d := Gate([]Record{rec("x", 100e-6)}, []Record{rec("x", tc.newS)}, threshold)
 		var got string
 		switch {
 		case len(d.Regressions) == 1:
-			got = ClassRegression
+			got = "regression"
 		case len(d.Improvements) == 1:
-			got = ClassImprovement
+			got = "improvement"
 		case d.Unchanged == 1:
-			got = ClassUnchanged
+			got = "unchanged"
 		}
 		if got != tc.class {
 			t.Errorf("%s (%.4g): classified %q, want %q", tc.name, tc.newS, got, tc.class)
@@ -84,8 +88,8 @@ func TestDiffThresholdBoundary(t *testing.T) {
 func TestDiffCoverageDrift(t *testing.T) {
 	old := []Record{rec("kept", 1), rec("removed", 1)}
 	newer := []Record{rec("kept", 1), rec("added", 1)}
-	d := Diff(old, newer, 0.005)
-	if d.HasRegressions() {
+	d := Gate(old, newer, 0.005)
+	if d.Failed() {
 		t.Error("coverage drift must not gate")
 	}
 	if len(d.OnlyInOld) != 1 || d.OnlyInOld[0] != "removed" {
@@ -102,51 +106,13 @@ func TestDiffCoverageDrift(t *testing.T) {
 // TestDiffZeroBaseline: a latency appearing from zero is a regression
 // (guards against a hollowed-out baseline silently passing).
 func TestDiffZeroBaseline(t *testing.T) {
-	d := Diff([]Record{rec("x", 0)}, []Record{rec("x", 1e-6)}, 0.005)
-	if !d.HasRegressions() {
+	d := Gate([]Record{rec("x", 0)}, []Record{rec("x", 1e-6)}, 0.005)
+	if !d.Failed() {
 		t.Error("0 → 1µs not flagged")
 	}
-	d = Diff([]Record{rec("x", 0)}, []Record{rec("x", 0)}, 0.005)
-	if d.HasRegressions() || d.Unchanged != 1 {
+	d = Gate([]Record{rec("x", 0)}, []Record{rec("x", 0)}, 0.005)
+	if d.Failed() || d.Unchanged != 1 {
 		t.Error("0 → 0 must be unchanged")
-	}
-}
-
-// TestClassifyEdgeCases pins Classify's corner semantics: zero and
-// negative baselines regress (unless bit-equal), and Diff clamps a
-// negative threshold to 0 so any drift classifies.
-func TestClassifyEdgeCases(t *testing.T) {
-	cases := []struct {
-		name       string
-		oldS, newS float64
-		threshold  float64
-		wantRel    float64
-		wantClass  string
-	}{
-		{"zero to positive", 0, 1e-6, 0.005, 1, ClassRegression},
-		{"zero to zero", 0, 0, 0.005, 0, ClassUnchanged},
-		{"negative baseline", -1e-6, 1e-6, 0.005, 1, ClassRegression},
-		{"equal values", 42e-6, 42e-6, 0.005, 0, ClassUnchanged},
-		// Raw Classify does not clamp: with a negative threshold every
-		// non-equal change lands on the regression side (Diff clamps
-		// thresholds to 0 before classifying).
-		{"negative threshold, increase", 100e-6, 100.0001e-6, -1, 1e-6, ClassRegression},
-		{"negative threshold, decrease", 100e-6, 99.9999e-6, -1, -1e-6, ClassRegression},
-	}
-	for _, tc := range cases {
-		rel, class := Classify(tc.oldS, tc.newS, tc.threshold)
-		if class != tc.wantClass {
-			t.Errorf("%s: class %q, want %q", tc.name, class, tc.wantClass)
-		}
-		if math.Abs(rel-tc.wantRel) > 1e-9 {
-			t.Errorf("%s: rel %g, want %g", tc.name, rel, tc.wantRel)
-		}
-	}
-	// Diff clamps a negative threshold to 0 — exact equality is still
-	// unchanged, any drift classifies.
-	d := Diff([]Record{rec("x", 1), rec("y", 1)}, []Record{rec("x", 1), rec("y", 1.0001)}, -0.5)
-	if d.Unchanged != 1 || len(d.Regressions) != 1 {
-		t.Errorf("negative threshold Diff: %+v", d)
 	}
 }
 
@@ -162,11 +128,11 @@ func TestDiffRealSweepSelfCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := Diff(recs, recs, 0.005)
-	if d.HasRegressions() || len(d.Improvements) != 0 || len(d.OnlyInOld) != 0 || len(d.OnlyInNew) != 0 {
+	d := Gate(recs, recs, 0.005)
+	if d.Failed() || len(d.Improvements) != 0 || len(d.OnlyInOld) != 0 || len(d.OnlyInNew) != 0 {
 		t.Errorf("self-compare not clean: %s", d.Summary())
 	}
-	if len(d.OverlappedOnlyInOld) != 0 || len(d.OverlappedOnlyInNew) != 0 {
+	if len(d.MetricOnlyInOld) != 0 || len(d.MetricOnlyInNew) != 0 {
 		t.Errorf("self-compare reports overlapped coverage drift: %s", d.Summary())
 	}
 	// Every real record carries both metrics, so each contributes two
@@ -182,11 +148,11 @@ func TestDiffRealSweepSelfCompare(t *testing.T) {
 func TestDiffOverlappedClassified(t *testing.T) {
 	old := []Record{{ID: "x", TotalS: 100e-6, OverlappedS: 80e-6}}
 	newer := []Record{{ID: "x", TotalS: 100e-6, OverlappedS: 80.8e-6}}
-	d := Diff(old, newer, 0.005)
-	if !d.HasRegressions() {
+	d := Gate(old, newer, 0.005)
+	if !d.Failed() {
 		t.Fatal("+1% overlapped_s not flagged as regression")
 	}
-	if len(d.Regressions) != 1 || d.Regressions[0].Metric != MetricOverlapped {
+	if len(d.Regressions) != 1 || d.Regressions[0].Metric != "overlapped_s" {
 		t.Errorf("regressions = %+v, want exactly one overlapped_s delta", d.Regressions)
 	}
 	if d.Unchanged != 1 { // the total_s comparison
@@ -204,49 +170,30 @@ func TestDiffOverlappedSchemaMigration(t *testing.T) {
 	// Old baseline without the column vs new sweep with it.
 	old := []Record{{ID: "x", TotalS: 100e-6}}
 	newer := []Record{{ID: "x", TotalS: 100e-6, OverlappedS: 80e-6}}
-	d := Diff(old, newer, 0.005)
-	if d.HasRegressions() {
+	d := Gate(old, newer, 0.005)
+	if d.Failed() {
 		t.Errorf("missing baseline column gated as regression: %s", d.Summary())
 	}
-	if len(d.OverlappedOnlyInNew) != 1 || d.OverlappedOnlyInNew[0] != "x" {
-		t.Errorf("OverlappedOnlyInNew = %v, want [x]", d.OverlappedOnlyInNew)
+	if want := (gate.MetricRef{ID: "x", Metric: "overlapped_s"}); len(d.MetricOnlyInNew) != 1 || d.MetricOnlyInNew[0] != want {
+		t.Errorf("MetricOnlyInNew = %v, want [x overlapped_s]", d.MetricOnlyInNew)
 	}
 
 	// New sweep that hollowed the column out: must not classify 80µs→0
 	// as an improvement.
-	d = Diff(newer, old, 0.005)
+	d = Gate(newer, old, 0.005)
 	if len(d.Improvements) != 0 {
 		t.Errorf("hollowed-out overlapped column classified as improvement: %+v", d.Improvements)
 	}
-	if len(d.OverlappedOnlyInOld) != 1 || d.OverlappedOnlyInOld[0] != "x" {
-		t.Errorf("OverlappedOnlyInOld = %v, want [x]", d.OverlappedOnlyInOld)
+	if want := (gate.MetricRef{ID: "x", Metric: "overlapped_s"}); len(d.MetricOnlyInOld) != 1 || d.MetricOnlyInOld[0] != want {
+		t.Errorf("MetricOnlyInOld = %v, want [x overlapped_s]", d.MetricOnlyInOld)
 	}
 
 	// Neither side carries the column: nothing to compare, no drift.
-	d = Diff([]Record{rec("x", 1)}, []Record{rec("x", 1)}, 0.005)
-	if len(d.OverlappedOnlyInOld) != 0 || len(d.OverlappedOnlyInNew) != 0 {
+	d = Gate([]Record{rec("x", 1)}, []Record{rec("x", 1)}, 0.005)
+	if len(d.MetricOnlyInOld) != 0 || len(d.MetricOnlyInNew) != 0 {
 		t.Errorf("column-free records report overlapped drift: %s", d.Summary())
 	}
 	if d.Unchanged != 1 {
 		t.Errorf("unchanged = %d, want 1", d.Unchanged)
-	}
-}
-
-// TestDiffFilterMetric: each CI gate sees only its own metric's deltas.
-func TestDiffFilterMetric(t *testing.T) {
-	old := []Record{{ID: "x", TotalS: 100e-6, OverlappedS: 80e-6}}
-	newer := []Record{{ID: "x", TotalS: 102e-6, OverlappedS: 81e-6}}
-	d := Diff(old, newer, 0.005)
-	if len(d.Regressions) != 2 {
-		t.Fatalf("regressions = %+v, want one per metric", d.Regressions)
-	}
-	for _, metric := range []string{MetricTotal, MetricOverlapped} {
-		f := d.FilterMetric(metric)
-		if len(f.Regressions) != 1 || f.Regressions[0].Metric != metric {
-			t.Errorf("FilterMetric(%q) = %+v", metric, f.Regressions)
-		}
-	}
-	if f := d.FilterMetric(""); len(f.Regressions) != 2 {
-		t.Errorf("FilterMetric(\"\") dropped deltas: %+v", f.Regressions)
 	}
 }

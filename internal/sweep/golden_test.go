@@ -105,9 +105,9 @@ func TestGPURecordsAreCoverageDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := Diff(preGPU, fresh, 0.005)
+	d := Gate(preGPU, fresh, 0.005)
 
-	if d.HasRegressions() {
+	if d.Failed() {
 		t.Errorf("GPU axis growth classified as regression:\n%s", d.Summary())
 	}
 	if len(d.Improvements) > 0 {

@@ -6,7 +6,7 @@
 // Memory-Aligned Transformation (MAT, offline-embedded data
 // reorderings → layout-invariant kernels).
 //
-// The public API has three layers:
+// The public API has seven layers:
 //
 //   - HE layer: Context bundles a full functional RNS-CKKS instance
 //     (encode → encrypt → evaluate → decrypt), running bit-exactly on
@@ -16,7 +16,8 @@
 //     slice (Pod), a GPU (GPUDevice) or an NVLink node (GPUNode); all
 //     satisfy the same interface and share one lowering code path, and
 //     the device registry (TargetByName) instantiates any of them from
-//     a name + core count. Kernel lowerings produce Schedule values:
+//     a name + core count. Every kernel and operator is priced by a
+//     Lower* method returning a Schedule — the only pricing face:
 //     structured artifacts carrying total latency, the per-category
 //     breakdown, kernel-invocation counts, and shard/collective
 //     metadata — plus the overlap-aware latency pair: every lowering
@@ -26,8 +27,7 @@
 //     OverlappedTotal (collectives and HBM streaming hidden behind
 //     compute; DESIGN.md §13). NewProgram composes multi-operator HE
 //     workloads (mult → rotate → bootstrap → …) into one costed,
-//     memoized schedule. The legacy Cost* float methods remain as
-//     thin deprecated wrappers over Schedule.Total.
+//     memoized schedule.
 //   - Experiments layer: Experiment/AllExperiments regenerate every
 //     table and figure of the paper's §V with paper-vs-measured rows,
 //     plus the beyond-paper core-count scaling sweep.
@@ -93,7 +93,8 @@ import (
 // Params is a CKKS security/performance configuration (paper Tab. IV).
 type Params = icross.Params
 
-// Compiler lowers HE kernels onto a simulated TPU core.
+// Compiler lowers HE kernels onto any Target; its Lower* methods
+// return Schedules.
 type Compiler = icross.Compiler
 
 // Device is one simulated TPU tensor core.
@@ -137,11 +138,6 @@ var (
 
 // NewDevice instantiates a simulated tensor core.
 func NewDevice(spec DeviceSpec) *Device { return tpusim.NewDevice(spec) }
-
-// NewCompiler builds a CROSS compiler for a device and parameter set.
-//
-// Deprecated: use Compile, which accepts any Target (devices and pods).
-func NewCompiler(dev *Device, p Params) (*Compiler, error) { return icross.New(dev, p) }
 
 // ---- Target / Schedule IR layer ----
 
@@ -206,31 +202,15 @@ func DefaultBootstrapSchedule(p Params) BootstrapSchedule {
 	return icross.DefaultBootstrapSchedule(p)
 }
 
-// ---- Pod / sharded-lowering layer ----
+// ---- Pod layer ----
 
 // Pod is a multi-core TPU slice: N tensor cores joined by the
 // inter-chip interconnect, with ring-collective cost models
 // (AllReduceTime, BroadcastTime, …).
 type Pod = tpusim.Pod
 
-// ShardedCompiler is the legacy pod-lowering handle. The sharded
-// lowering now lives in Compiler itself (a Pod is just another
-// Target), so this is a thin compatibility wrapper.
-//
-// Deprecated: use Compile with a *Pod target.
-type ShardedCompiler = icross.ShardedCompiler
-
 // NewPod instantiates an n-core pod of one TPU generation.
 func NewPod(spec DeviceSpec, cores int) (*Pod, error) { return tpusim.NewPod(spec, cores) }
-
-// NewShardedCompiler builds the pod-scale CROSS lowering for a
-// parameter set.
-//
-// Deprecated: use Compile(pod, p) — one lowering API for cores and
-// pods.
-func NewShardedCompiler(pod *Pod, p Params) (*ShardedCompiler, error) {
-	return icross.NewSharded(pod, p)
-}
 
 // ---- GPU backend & device registry ----
 

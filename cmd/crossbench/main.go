@@ -41,7 +41,7 @@
 //	crossbench -serve -fleet "TPUv6e:1:4+H100:1:2"           # heterogeneous fleet + cost section
 //	crossbench -serve -fleet "TPUv6e:1:4+H100:1:2" -policy cheapest
 //	crossbench -serve -trace arrivals.csv     # replay a recorded arrival trace
-//	crossbench -serve -stats streaming -rate 50000 -horizon 30  # O(1)-memory long horizon
+//	crossbench -serve -stats streaming -rate 50000 -horizon 30  # O(1)-memory latency stats; arrivals still O(requests)
 //	crossbench -serve -classes "interactive:10:0.02,batch:0" -mix "HE-Mult=0.6@interactive,MNIST=0.4@batch"
 //	crossbench -chaos                         # goodput vs crash-MTBF grid (availability curve)
 //	crossbench -chaos -retries 3 -hedge -deadline 0.05 -json
@@ -370,7 +370,7 @@ func main() {
 	slo := flag.Float64("slo", 0, "plan: target p99 latency in seconds")
 	classes := flag.String("classes", "", `serve: SLO classes "name:priority[:deadline_s[:queue_limit]]", comma-separated; bind mix entries with weight@class`)
 	trace := flag.String("trace", "", "serve: replay arrivals from a JSON or CSV trace file instead of the Poisson source")
-	stats := flag.String("stats", "", "serve: latency statistics mode — stored (exact, default) or streaming (O(1) memory for long horizons)")
+	stats := flag.String("stats", "", "serve: latency statistics mode — stored (exact, default) or streaming (O(1)-memory P² latency accumulators; every arrival is still held in memory, ~330 B/request)")
 	rate := flag.Float64("rate", 0, "serve: offered load in requests/s (0 = 70% of fleet capacity)")
 	pods := flag.Int("pods", 0, "serve: fleet size in pods (default 4)")
 	podCores := flag.Int("cores", 0, "serve: cores per pod (default 1)")

@@ -54,8 +54,8 @@ func main() {
 	fmt.Printf("NTT algorithm comparison on %s at N=2^%d (split %dx%d):\n\n", spec.Name, *logN, p.R, p.C)
 	fmt.Printf("%-8s%16s%16s%16s%14s\n", "batch", "radix-2 µs", "4-step µs", "MAT 3-step µs", "MAT kNTT/s")
 	for batch := 1; batch <= 128; batch <<= 1 {
-		radix2 := comp.LowerOp("radix-2", func() float64 { return comp.CostNTTRadix2(batch) }).Total
-		four := comp.LowerOp("4-step", func() float64 { return comp.CostNTT4Step(batch) }).Total
+		radix2 := comp.LowerNTTRadix2(batch).Total
+		four := comp.LowerNTT4Step(batch).Total
 		mat := comp.LowerNTT(batch).Total
 		fmt.Printf("%-8d%16.1f%16.1f%16.1f%14.0f\n",
 			batch, radix2*1e6, four*1e6, mat*1e6, float64(batch)/mat/1e3)
@@ -86,7 +86,7 @@ func verify() {
 
 	// radix-2 (bit-reversed output)
 	ct := append([]uint64(nil), in...)
-	rg.NTTLimb(0, ct)
+	rg.NTTInPlace(0, ct)
 	for j := 0; j < n; j++ {
 		if ct[ring.BitReverse(uint64(j), 8)] != naive[j] {
 			panic("radix-2 NTT diverges from naive oracle")

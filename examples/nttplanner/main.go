@@ -47,7 +47,7 @@ func main() {
 		got := make([]uint64, verifyN)
 		plan.ForwardLimb(0, in, got)
 		want := append([]uint64(nil), in...)
-		rg.NTTLimb(0, want)
+		rg.NTTInPlace(0, want)
 		for i := range got {
 			if got[i] != want[i] {
 				log.Fatalf("split (%d,%d): MAT NTT diverges from radix-2 at slot %d", r, verifyN/r, i)
@@ -76,7 +76,7 @@ func main() {
 			p := cross.SetA()
 			p.LogN = *logN
 			p.R, p.C = r, c
-			comp, err := cross.NewCompiler(cross.NewDevice(spec), p)
+			comp, err := cross.Compile(cross.NewDevice(spec), p)
 			if err != nil {
 				log.Fatal(err)
 			}

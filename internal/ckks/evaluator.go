@@ -216,7 +216,7 @@ func (ev *Evaluator) rescalePoly(p *ring.Poly, lvl int) *ring.Poly {
 	defer rq.PutScratch(tb)
 	top := (*tb)[:n]
 	copy(top, p.Coeffs[lvl])
-	rq.INTTLimb(lvl, top)
+	rq.INTTInPlace(lvl, top)
 	ev.Kc.INTTLimbs++
 
 	out := ring.NewPoly(lvl, n)
@@ -236,7 +236,7 @@ func (ev *Evaluator) rescalePoly(p *ring.Poly, lvl int) *ring.Poly {
 				dst[k] = m.Reduce(v)
 			}
 		}
-		rq.NTTLimb(i, dst)
+		rq.NTTInPlace(i, dst)
 		ev.Kc.NTTLimbs++
 		// (c_i − top) · qTop⁻¹ mod q_i
 		inv := m.InvMod(m.Reduce(qTop))
@@ -390,7 +390,7 @@ func (ev *Evaluator) modUp(ext, d, dCoeff *ring.Poly, lo, hi, lvl int) {
 		}
 		conv.ConvertApproxInto(out, in)
 		for _, i := range dst {
-			rq.NTTLimb(i, ext.Coeffs[i])
+			rq.NTTInPlace(i, ext.Coeffs[i])
 			ev.Kc.NTTLimbs++
 		}
 		ev.Kc.BConvCalls++
@@ -410,7 +410,7 @@ func (ev *Evaluator) modDown(acc *ring.Poly, lvl int) *ring.Poly {
 	in := ev.rows(len(pIdx))
 	for si, i := range pIdx {
 		in[si] = acc.Coeffs[i]
-		rq.INTTLimb(i, in[si])
+		rq.INTTInPlace(i, in[si])
 		ev.Kc.INTTLimbs++
 	}
 	conv := p.converter(pIdx, qLimbs(lvl))
@@ -425,7 +425,7 @@ func (ev *Evaluator) modDown(acc *ring.Poly, lvl int) *ring.Poly {
 	res := ring.NewPoly(lvl+1, n)
 	for i := 0; i <= lvl; i++ {
 		m := rq.Moduli[i]
-		rq.NTTLimb(i, out[i])
+		rq.NTTInPlace(i, out[i])
 		ev.Kc.NTTLimbs++
 		inv := p.PInvModQ(i)
 		invS := m.ShoupPrecompute(inv)

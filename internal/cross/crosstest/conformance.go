@@ -142,7 +142,7 @@ func conformMonotone(t *testing.T, tgt cross.Target) {
 	}
 }
 
-// conformTraceOwnership checks the collective-trace contract LowerOp
+// conformTraceOwnership checks the collective-trace contract every Lower*
 // relies on: charges land in the owned trace, SetCollectiveTrace swaps
 // where subsequent charges go, and the original trace is untouched
 // after a swap.

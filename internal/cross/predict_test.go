@@ -6,8 +6,8 @@ import (
 	"cross/internal/tpusim"
 )
 
-// Every named calibration kernel must price to a positive, finite
-// schedule on a single core, and unknown names must error — the
+// Every named calibration kernel must price to a positive, finite,
+// one-launch schedule on a single core, and unknown names must error — the
 // contract internal/calib pairs measurements against.
 func TestPredictKernelCoversCalibVocabulary(t *testing.T) {
 	p := Params{LogN: 13, LogQ: 28, L: 2, Dnum: 1, R: 128, C: 64}
@@ -25,6 +25,14 @@ func TestPredictKernelCoversCalibVocabulary(t *testing.T) {
 		}
 		if s.Op != k {
 			t.Errorf("PredictKernel(%q).Op = %q", k, s.Op)
+		}
+		// Each calibration kernel is one launch — the radix-2
+		// transforms included, forward as an NTT, inverse as an INTT.
+		if n := s.Kernels.Total(); n != 1 {
+			t.Errorf("PredictKernel(%q).Kernels = %v (%d launches), want 1", k, s.Kernels, n)
+		}
+		if (k == KernelNTT && s.Kernels.NTTs != 1) || (k == KernelINTT && s.Kernels.INTTs != 1) {
+			t.Errorf("PredictKernel(%q).Kernels = %v, wrong transform direction", k, s.Kernels)
 		}
 	}
 	if _, err := c.PredictKernel("no_such_kernel"); err == nil {

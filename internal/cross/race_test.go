@@ -4,40 +4,56 @@ import (
 	"sync"
 	"testing"
 
+	"cross/internal/modarith"
 	"cross/internal/tpusim"
 )
 
 // The sweep engine lowers concurrently on shared compilers, programs,
 // and a shared schedule cache. These tests are the `go test -race`
 // tripwires for that path: before the Compiler/Program memoization was
-// mutex-guarded, each of them raced on the live trace swap in LowerOp
+// mutex-guarded, each of them raced on the live trace swap in lowerOp
 // or on the program memo map.
 
 // TestConcurrentLowerOnSharedCompiler hammers one compiler from many
-// goroutines and checks every goroutine observes the serial answer.
+// goroutines and checks every goroutine observes the serial answer,
+// for every Lower* row (operators and the kernel-level ablations the
+// harness tables and figures price).
 func TestConcurrentLowerOnSharedCompiler(t *testing.T) {
 	c, err := Compile(tpusim.MustPod(tpusim.TPUv6e(), 4), SetC())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMult := c.LowerHEMult().Total
-	wantRot := c.LowerRotate().Total
+	rows := []struct {
+		name  string
+		lower func() *Schedule
+	}{
+		{"HE-Mult", c.LowerHEMult},
+		{"Rotate", c.LowerRotate},
+		{"VecModMul", func() *Schedule { return c.LowerVecModMul(c.P.N()) }},
+		{"MatModMul-BAT", func() *Schedule { return c.LowerMatModMul(256, 256, 256, true) }},
+		{"MatModMul-baseline", func() *Schedule { return c.LowerMatModMul(256, 256, 256, false) }},
+		{"NTTWithRed", func() *Schedule { return c.LowerNTTWithRed(8, modarith.Shoup) }},
+		{"NTTRadix2", func() *Schedule { return c.LowerNTTRadix2(8) }},
+		{"NTT4Step", func() *Schedule { return c.LowerNTT4Step(8) }},
+	}
+	want := make([]float64, len(rows))
+	for i, r := range rows {
+		want[i] = r.lower().Total
+	}
 
 	const workers = 8
 	var wg sync.WaitGroup
-	errs := make(chan string, 2*workers)
+	errs := make(chan string, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				if got := c.LowerHEMult().Total; got != wantMult {
-					errs <- "HE-Mult total changed under concurrency"
-					return
-				}
-				if got := c.LowerRotate().Total; got != wantRot {
-					errs <- "Rotate total changed under concurrency"
-					return
+				for j, r := range rows {
+					if got := r.lower().Total; got != want[j] {
+						errs <- r.name + " total changed under concurrency"
+						return
+					}
 				}
 			}
 		}()
@@ -50,7 +66,7 @@ func TestConcurrentLowerOnSharedCompiler(t *testing.T) {
 }
 
 // TestConcurrentOverlappedLower is the DAG engine's race tripwire:
-// the observer attach/detach and DAG build/execute in LowerOp are
+// the observer attach/detach and DAG build/execute in lowerOp are
 // compiler-global state under the same lock as the trace swap, and the
 // overlapped makespan must be as deterministic under concurrency as
 // the serial total.

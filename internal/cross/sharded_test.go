@@ -7,13 +7,13 @@ import (
 	"cross/internal/tpusim"
 )
 
-func mustSharded(t *testing.T, spec tpusim.Spec, cores int, p Params) *ShardedCompiler {
+func mustSharded(t *testing.T, spec tpusim.Spec, cores int, p Params) *Compiler {
 	t.Helper()
 	pod, err := tpusim.NewPod(spec, cores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSharded(pod, p)
+	s, err := Compile(pod, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,23 +21,30 @@ func mustSharded(t *testing.T, spec tpusim.Spec, cores int, p Params) *ShardedCo
 }
 
 func TestShardedValidation(t *testing.T) {
-	if _, err := NewSharded(nil, SetA()); err == nil {
-		t.Error("expected error for nil pod")
-	}
 	pod := tpusim.MustPod(tpusim.TPUv6e(), 2)
-	if _, err := NewSharded(pod, Params{}); err == nil {
-		t.Error("expected validation error for zero params")
+	for _, tc := range []struct {
+		name string
+		pod  *tpusim.Pod
+		p    Params
+	}{
+		{"nil pod", nil, SetA()},
+		{"empty pod", &tpusim.Pod{}, SetA()},
+		{"zero params", pod, Params{}},
+	} {
+		if _, err := Compile(tc.pod, tc.p); err == nil {
+			t.Errorf("%s: expected an error", tc.name)
+		}
 	}
-	c, err := New(tpusim.NewDevice(tpusim.TPUv6e()), SetB())
+	c, err := Compile(tpusim.NewDevice(tpusim.TPUv6e()), SetB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := c.LowerSharded(pod)
+	s, err := Compile(pod, c.P)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.NumCores() != 2 || s.P.LogN != SetB().LogN {
-		t.Error("LowerSharded lost configuration")
+		t.Error("re-targeting at a pod lost configuration")
 	}
 }
 
@@ -50,22 +57,20 @@ func TestShardedOneCoreIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := New(tpusim.NewDevice(tpusim.TPUv6e()), p)
+		single, err := Compile(tpusim.NewDevice(tpusim.TPUv6e()), p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := mustSharded(t, tpusim.TPUv6e(), 1, p)
 
 		pairs := [][2]float64{
-			{single.Snapshot(single.CostHEMult), s.Snapshot(s.CostHEMult)},
-			{single.Snapshot(single.CostKeySwitch), s.Snapshot(s.CostKeySwitch)},
-			{single.Snapshot(single.CostRescale), s.Snapshot(s.CostRescale)},
-			{single.Snapshot(single.CostRotate), s.Snapshot(s.CostRotate)},
-			{single.Snapshot(single.CostHEAdd), s.Snapshot(s.CostHEAdd)},
-			{single.Snapshot(func() float64 { return single.CostNTTMat(8) }),
-				s.Snapshot(func() float64 { return s.CostNTTMat(8) })},
-			{single.Snapshot(func() float64 { return single.CostBConv(p.N(), 4, 8, true) }),
-				s.Snapshot(func() float64 { return s.CostBConv(p.N(), 4, 8) })},
+			{single.LowerHEMult().Total, s.LowerHEMult().Total},
+			{single.LowerKeySwitch().Total, s.LowerKeySwitch().Total},
+			{single.LowerRescale().Total, s.LowerRescale().Total},
+			{single.LowerRotate().Total, s.LowerRotate().Total},
+			{single.LowerHEAdd().Total, s.LowerHEAdd().Total},
+			{single.LowerNTT(8).Total, s.LowerNTT(8).Total},
+			{single.LowerBConv(p.N(), 4, 8, true).Total, s.LowerBConv(p.N(), 4, 8, true).Total},
 		}
 		for i, pr := range pairs {
 			if pr[0] != pr[1] {
@@ -84,15 +89,15 @@ func TestShardedSpeedupOnLargeKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := New(tpusim.NewDevice(tpusim.TPUv6e()), p)
+		single, err := Compile(tpusim.NewDevice(tpusim.TPUv6e()), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := single.Snapshot(single.CostHEMult)
+		base := single.LowerHEMult().Total
 		prev := base
 		for _, cores := range []int{2, 4, 8} {
 			s := mustSharded(t, tpusim.TPUv6e(), cores, p)
-			got := s.Snapshot(s.CostHEMult)
+			got := s.LowerHEMult().Total
 			if got >= base {
 				t.Errorf("Set%s %d cores: sharded HE-Mult %g ≥ single-core %g", name, cores, got, base)
 			}
@@ -111,14 +116,14 @@ func TestShardedSpeedupOnLargeKernels(t *testing.T) {
 // nearly linearly when the batch divides evenly.
 func TestShardedNTTScalesLinearly(t *testing.T) {
 	p := SetD()
-	single, err := New(tpusim.NewDevice(tpusim.TPUv6e()), p)
+	single, err := Compile(tpusim.NewDevice(tpusim.TPUv6e()), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := single.Snapshot(func() float64 { return single.CostNTTMat(64) })
+	base := single.LowerNTT(64).Total
 	s := mustSharded(t, tpusim.TPUv6e(), 8, p)
-	got := s.Snapshot(func() float64 { return s.CostNTTMat(64) })
-	want := single.Snapshot(func() float64 { return single.CostNTTMat(8) })
+	got := s.LowerNTT(64).Total
+	want := single.LowerNTT(8).Total
 	if got != want {
 		t.Errorf("sharded NTT(64) on 8 cores = %g, want per-core NTT(8) = %g", got, want)
 	}
@@ -132,24 +137,26 @@ func TestShardedNTTScalesLinearly(t *testing.T) {
 func TestShardedTraceAccounting(t *testing.T) {
 	p := SetD()
 	s := mustSharded(t, tpusim.TPUv6e(), 4, p)
-	s.Pod.Reset()
-	s.CostKeySwitch()
+	pod := s.T.(*tpusim.Pod)
+	pod.Reset()
+	// The cost body, called outside lowerOp, charges the live traces.
+	s.costKeySwitch()
 	ici := s.CollectiveSeconds()
 	if ici <= 0 {
 		t.Fatal("key switch on 4 cores produced no collective time")
 	}
-	if s.Pod.Cores[0].Trace.Seconds(tpusim.CatICI) != 0 {
+	if pod.Cores[0].Trace.Seconds(tpusim.CatICI) != 0 {
 		t.Error("collective time leaked into a core trace")
 	}
-	total := s.Pod.TotalSeconds()
+	total := pod.TotalSeconds()
 	if total <= ici {
 		t.Error("pod total should include core compute on top of collectives")
 	}
-	// Snapshot must not pollute either trace.
-	before := s.Pod.Trace.Total()
-	s.Snapshot(s.CostHEMult)
-	if s.Pod.Trace.Total() != before {
-		t.Error("Snapshot polluted the pod trace")
+	// Lowering must not pollute either trace.
+	before, coreBefore := pod.Trace.Total(), pod.Cores[0].Trace.Total()
+	s.LowerHEMult()
+	if pod.Trace.Total() != before || pod.Cores[0].Trace.Total() != coreBefore {
+		t.Error("LowerHEMult polluted the pod traces")
 	}
 }
 
@@ -160,13 +167,13 @@ func TestShardedRespectsICICost(t *testing.T) {
 	spec := tpusim.TPUv6e()
 	spec.ICIBandwidth = 1e6 // 1 MB/s
 	spec.ICILatency = 1e-2  // 10 ms per hop
-	single, err := New(tpusim.NewDevice(tpusim.TPUv6e()), p)
+	single, err := Compile(tpusim.NewDevice(tpusim.TPUv6e()), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := single.Snapshot(single.CostHEMult)
+	base := single.LowerHEMult().Total
 	s := mustSharded(t, spec, 8, p)
-	got := s.Snapshot(s.CostHEMult)
+	got := s.LowerHEMult().Total
 	if got <= base {
 		t.Error("crippled ICI should make sharding slower than single-core")
 	}

@@ -101,7 +101,7 @@ func Fig13a() Report {
 			pp := p
 			pp.Red = alg
 			c := newCompiler(tpusim.TPUv6e(), pp)
-			lat[i] = c.LowerOp("VecModMul", func() float64 { return c.CostVecModMul(elems * b) }).Total
+			lat[i] = c.LowerVecModMul(elems * b).Total
 		}
 		if !(lat[1] < lat[0] && lat[0] < lat[2] && lat[1] < lat[3]) {
 			montBest = false
@@ -125,7 +125,7 @@ func Fig13b() Report {
 		var lat [4]float64
 		for i, alg := range algs {
 			c := newCompiler(tpusim.TPUv6e(), p)
-			lat[i] = c.LowerOp("NTT-ablation", func() float64 { return c.CostNTTMatWithRed(b, alg) }).Total
+			lat[i] = c.LowerNTTWithRed(b, alg).Total
 		}
 		if b > 1 && !(lat[1] <= lat[0] && lat[0] <= lat[2]) {
 			montBest = false
@@ -243,7 +243,7 @@ func measureUnitTimes(p *ckks.Parameters) unitTimes {
 	}
 
 	var u unitTimes
-	u.nttLimb = timeIt(64, func() { rq.NTTLimb(0, poly.Coeffs[0]) })
+	u.nttLimb = timeIt(64, func() { rq.NTTInPlace(0, poly.Coeffs[0]) })
 	m := rq.Moduli[0]
 	a := poly.Coeffs[0]
 	b := poly.Coeffs[1%len(poly.Coeffs)]

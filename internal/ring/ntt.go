@@ -552,13 +552,6 @@ func (r *Ring) INTTInPlace(i int, a []uint64) {
 	}
 }
 
-// NTTLimb is the historical name of NTTInPlace, kept for callers of
-// the pre-lazy API.
-func (r *Ring) NTTLimb(i int, a []uint64) { r.NTTInPlace(i, a) }
-
-// INTTLimb is the historical name of INTTInPlace.
-func (r *Ring) INTTLimb(i int, a []uint64) { r.INTTInPlace(i, a) }
-
 // NTTInPlaceStrict is the retained strict-reduction forward transform:
 // every butterfly fully reduces both legs to [0, q) before the next
 // stage reads them. It is the bit-exactness oracle the lazy
@@ -621,7 +614,7 @@ func (r *Ring) INTTInPlaceStrict(i int, a []uint64) {
 // the ring's worker pool when WithParallelism configured one.
 func (r *Ring) NTT(p *Poly) {
 	parallelFor(r.Parallelism(), p.Level()+1, func(i int) {
-		r.NTTLimb(i, p.Coeffs[i])
+		r.NTTInPlace(i, p.Coeffs[i])
 	})
 }
 
@@ -629,7 +622,7 @@ func (r *Ring) NTT(p *Poly) {
 // NTT).
 func (r *Ring) INTT(p *Poly) {
 	parallelFor(r.Parallelism(), p.Level()+1, func(i int) {
-		r.INTTLimb(i, p.Coeffs[i])
+		r.INTTInPlace(i, p.Coeffs[i])
 	})
 }
 

@@ -64,7 +64,7 @@ func TestNTTMatchesNaiveBitRev(t *testing.T) {
 		for i := range r.Moduli {
 			naive := r.NTTNaiveLimb(i, p.Coeffs[i])
 			fast := append([]uint64(nil), p.Coeffs[i]...)
-			r.NTTLimb(i, fast)
+			r.NTTInPlace(i, fast)
 			for j := 0; j < n; j++ {
 				if fast[bitReverse(uint64(j), r.LogN)] != naive[j] {
 					t.Fatalf("N=%d limb %d: fast[brv(%d)] = %d, naive = %d",

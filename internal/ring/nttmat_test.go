@@ -64,7 +64,7 @@ func TestMatNTTBitRevMatchesRadix2(t *testing.T) {
 		p := randPoly(rng, rg)
 		for i := range rg.Moduli {
 			want := append([]uint64(nil), p.Coeffs[i]...)
-			rg.NTTLimb(i, want) // radix-2 CT, bit-reversed output
+			rg.NTTInPlace(i, want) // radix-2 CT, bit-reversed output
 			got := make([]uint64, tc.n)
 			plan.ForwardLimb(i, p.Coeffs[i], got)
 			for k := 0; k < tc.n; k++ {

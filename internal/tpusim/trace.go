@@ -45,7 +45,7 @@ func NewTrace() *Trace {
 // lowering's additive charge stream into dependency-DAG nodes; pass nil
 // to detach. A trace has at most one observer and is not synchronised —
 // observation is only meaningful while the trace is charged from a
-// single goroutine (which Compiler.LowerOp guarantees).
+// single goroutine (which the compiler's lowering lock guarantees).
 func (t *Trace) Observe(f func(category string, seconds float64)) {
 	t.observer = f
 }
@@ -61,11 +61,12 @@ func (t *Trace) Add(category string, d float64) {
 	t.seconds[category] += d
 }
 
-// Total returns the summed simulated seconds.
+// Total returns the summed simulated seconds, added in first-charge
+// order so the float sum is the same on every call.
 func (t *Trace) Total() float64 {
 	var s float64
-	for _, v := range t.seconds {
-		s += v
+	for _, c := range t.order {
+		s += t.seconds[c]
 	}
 	return s
 }

@@ -34,30 +34,30 @@
 //   - Sweep layer: Sweep lowers the full {param set × TPU spec × pod
 //     size × workload} cross-product on a worker pool and emits
 //     deterministic records; SweepGate classifies regressions against
-//     a committed baseline — the CI perf gate (crossbench -sweep /
+//     a committed baseline — the CI perf gate (crossbench sweep
 //     -compare).
 //   - Host perf layer: HostBench measures the functional CPU kernels'
 //     real ns/op and steady-state allocs/op at fixed sizes;
 //     HostBenchGate gates wall time against a generous threshold and
-//     fails on any allocation increase (crossbench -hostbench,
+//     fails on any allocation increase (crossbench hostbench,
 //     BENCH_host.json).
 //   - Serving layer: Serve runs the discrete-event serving simulator —
 //     an open-loop arrival process over a workload mix, dynamic
 //     batching, and fleet dispatch across M pods — and returns one
 //     deterministic record of offered load, achieved throughput, pod
-//     utilization, queue depth, and tail latency (crossbench -serve).
+//     utilization, queue depth, and tail latency (crossbench serve).
 //     FaultConfig adds the deterministic fault model (pod
 //     crash/recover, stragglers, batch errors) and recovery machinery
 //     (deadlines, retries, hedging, load shedding, heartbeat
 //     detection); ServeChaos sweeps goodput across a crash-MTBF grid
-//     (crossbench -serve -faults, -chaos; DESIGN.md §16).
+//     (crossbench serve -faults, crossbench chaos; DESIGN.md §16).
 //   - Calibration layer: Calib pairs every measurable kernel latency
 //     (host wall clock plus the paper's published TPU/GPU figures)
 //     with the simulator's prediction for the same work, fits the
 //     model's free constants (Calibration) by deterministic least
 //     squares, and reports per-kernel model error; CalibGate gates
 //     model drift against the committed BENCH_calib.json (crossbench
-//     -calib).
+//     calib).
 //
 // All three gates run on one engine (internal/gate): each source maps
 // its records to ID-keyed records with named metrics and a policy per
@@ -486,8 +486,8 @@ func Sweep(cfg SweepConfig) ([]SweepRecord, error) { return sweep.Run(cfg) }
 // GateResult is the verdict of any of the three CI gates (sweep, host
 // wall clock, calibration drift): regressions, improvements,
 // unchanged count, record- and metric-level coverage drift, and
-// warnings. Its Failed is the condition crossbench -compare exits
-// non-zero on.
+// warnings. Its Failed is the condition the crossbench sweep,
+// hostbench and calib subcommands exit non-zero on under -compare.
 type GateResult = gate.Result
 
 // SweepGate compares a fresh sweep against a baseline: total_s and

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"strings"
 
 	"cross/internal/cross"
@@ -48,8 +49,8 @@ type Config struct {
 	// Repeats is the number of raw timing samples per host point
 	// (default 5); the minimum is the fitted estimate.
 	Repeats int `json:"repeats"`
-	// Parallel is the fitter's worker count (default 1). Any value
-	// produces bit-identical results; more workers are just faster.
+	// Parallel is the fitter's worker count; ≤ 0 means NumCPU. Any
+	// value produces bit-identical results; more workers are just faster.
 	Parallel int `json:"-"`
 }
 
@@ -61,7 +62,7 @@ func (c Config) withDefaults() Config {
 		c.Repeats = 5
 	}
 	if c.Parallel < 1 {
-		c.Parallel = 1
+		c.Parallel = runtime.NumCPU()
 	}
 	return c
 }

@@ -143,8 +143,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("faults: %s must be finite and ≥ 0, got %g", f.name, f.v)
 		}
 	}
-	if c.StragglerFactor != 0 && c.StragglerFactor < 1 {
-		return fmt.Errorf("faults: straggler factor must be ≥ 1 (or 0 = off), got %g", c.StragglerFactor)
+	if c.StragglerFactor != 0 && (!(c.StragglerFactor >= 1) || math.IsInf(c.StragglerFactor, 1)) {
+		return fmt.Errorf("faults: straggler factor must be finite and ≥ 1 (or 0 = off), got %g", c.StragglerFactor)
 	}
 	if c.BatchErrorProb < 0 || c.BatchErrorProb > 1 || math.IsNaN(c.BatchErrorProb) {
 		return fmt.Errorf("faults: batch error probability must be in [0, 1], got %g", c.BatchErrorProb)

@@ -130,6 +130,8 @@ func TestConfigValidate(t *testing.T) {
 		{MTTRS: math.Inf(1)},
 		{StragglerFactor: 0.99},
 		{StragglerFactor: -2},
+		{StragglerFactor: math.NaN()},
+		{StragglerFactor: math.Inf(1)},
 		{BatchErrorProb: -0.01},
 		{BatchErrorProb: 1.01},
 		{BatchErrorProb: math.NaN()},

@@ -135,12 +135,15 @@ func judge(m Metric, o, n float64) (change float64, verdict int) {
 
 // Diff compares a baseline against a new run. Records match on ID;
 // each metric of the policy list that both sides carry is judged by
-// its policy, with a negative threshold clamped to 0. A NaN or ±Inf
-// value on either side is a regression under every policy.
+// its policy, with a negative or NaN threshold clamped to 0 (fail
+// closed: a NaN threshold would otherwise pass every change). A NaN or
+// ±Inf value on either side is a regression under every policy.
 func Diff(name string, old, new []Record, metrics []Metric) Result {
 	metrics = append([]Metric(nil), metrics...)
 	for i := range metrics {
-		metrics[i].Threshold = math.Max(metrics[i].Threshold, 0)
+		if !(metrics[i].Threshold > 0) {
+			metrics[i].Threshold = 0
+		}
 	}
 	r := Result{Gate: name, Metrics: metrics}
 	oldByID := make(map[string]Record, len(old))

@@ -24,7 +24,7 @@ func one(m Metric, o, n float64) (string, float64) {
 
 // TestPolicies pins every policy's verdicts, including the corner
 // cases: a non-positive baseline regresses unless bit-equal, a
-// negative threshold is clamped to 0, and a NaN or ±Inf value on
+// negative or NaN threshold is clamped to 0, and a NaN or ±Inf value on
 // either side regresses under every policy.
 func TestPolicies(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
@@ -33,6 +33,7 @@ func TestPolicies(t *testing.T) {
 	noInc := Metric{Name: "v", Policy: NoIncrease, Threshold: 10}
 	band := Metric{Name: "v", Policy: Band, Threshold: 0.10}
 	negTh := Metric{Name: "v", Policy: Relative, Threshold: -0.5}
+	nanTh := Metric{Name: "v", Policy: Relative, Threshold: nan}
 	cases := []struct {
 		name       string
 		m          Metric
@@ -54,6 +55,7 @@ func TestPolicies(t *testing.T) {
 		{"negative threshold clamped, increase", negTh, 1, 1.0001, "regression", 1e-4},
 		{"negative threshold clamped, decrease", negTh, 1, 0.9999, "improvement", -1e-4},
 		{"negative threshold clamped, equal", negTh, 1, 1, "unchanged", 0},
+		{"NaN threshold clamped, increase", nanTh, 1, 1.0001, "regression", 1e-4},
 		{"absolute growth", abs, 0.05, 0.30, "regression", 0.25},
 		{"absolute shrink", abs, 0.30, 0.05, "improvement", -0.25},
 		{"absolute within", abs, 0.05, 0.10, "unchanged", 0},

@@ -51,8 +51,8 @@ func ParseTargetSpec(s string) (name string, cores int, err error) {
 }
 
 // VersusEntry is one (target, workload) cell of a cross-hardware
-// comparison. Field names are the stable JSON schema crossbench
-// -versus -json emits.
+// comparison. Field names are the stable JSON schema
+// "crossbench versus -json" emits.
 type VersusEntry struct {
 	Target      string             `json:"target"`       // instantiated name ("H100-8")
 	Device      string             `json:"device"`       // registered part name
@@ -76,7 +76,7 @@ type VersusResult struct {
 
 // Versus prices the named targets ("TPUv6e-16", "H100-8") against each
 // other on every sweep workload under one parameter set — the engine
-// behind crossbench -versus.
+// behind "crossbench versus".
 func Versus(targets []string, set string) (*VersusResult, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("harness: versus needs at least one target")

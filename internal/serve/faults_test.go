@@ -23,7 +23,7 @@ func goldenConfig() Config {
 // TestServeGoldenPreFault is the backward-compatibility contract: with
 // no fault config — nil or the zero value — the refactored event loop
 // must reproduce the pre-PR record byte-for-byte, so committed
-// serve-smoke baselines survive the fault layer.
+// CLI smoke records survive the fault layer.
 func TestServeGoldenPreFault(t *testing.T) {
 	want, err := os.ReadFile("testdata/golden_prefault.json")
 	if err != nil {

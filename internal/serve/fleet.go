@@ -136,7 +136,7 @@ func ParseFleet(s string) ([]FleetGroup, error) {
 }
 
 // ParseFleets parses a comma-separated list of fleet specs (the
-// -plan candidate set): "TPUv6e:1:4,TPUv6e:1:2+H100:1:1".
+// "crossbench plan -fleets" candidate set): "TPUv6e:1:4,TPUv6e:1:2+H100:1:1".
 func ParseFleets(s string) ([][]FleetGroup, error) {
 	var fleets [][]FleetGroup
 	for _, one := range strings.Split(s, ",") {

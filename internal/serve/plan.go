@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -60,8 +61,8 @@ type PlanResult struct {
 // candidate's operating point. Deterministic: probes are pure serve
 // runs and the bisection sequence is fixed.
 func Plan(pc PlanConfig) (*PlanResult, error) {
-	if pc.TargetP99S <= 0 {
-		return nil, fmt.Errorf("serve: plan needs a positive target p99, got %g", pc.TargetP99S)
+	if !(pc.TargetP99S > 0) || math.IsInf(pc.TargetP99S, 1) {
+		return nil, fmt.Errorf("serve: plan needs a finite positive target p99, got %g", pc.TargetP99S)
 	}
 	fleets := pc.Fleets
 	if len(fleets) == 0 {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -127,14 +128,13 @@ func TestPlanInfeasibleTarget(t *testing.T) {
 	}
 }
 
-// TestPlanValidation: a plan without a positive target is rejected, as
-// is one whose base config is broken.
+// TestPlanValidation: a plan without a finite positive target is
+// rejected, as is one whose base config is broken.
 func TestPlanValidation(t *testing.T) {
-	if _, err := Plan(PlanConfig{Base: planBase()}); err == nil {
-		t.Error("zero target accepted")
-	}
-	if _, err := Plan(PlanConfig{Base: planBase(), TargetP99S: -1}); err == nil {
-		t.Error("negative target accepted")
+	for _, slo := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := Plan(PlanConfig{Base: planBase(), TargetP99S: slo}); err == nil {
+			t.Errorf("target p99 %g accepted", slo)
+		}
 	}
 	bad := planBase()
 	bad.Set = "Z"

@@ -299,7 +299,7 @@ func (cfg Config) validate() error {
 			if g.Count < 1 {
 				return fmt.Errorf("serve: fleet group %d: count must be ≥ 1, got %d", i, g.Count)
 			}
-			if g.DollarPerHour < 0 || math.IsNaN(g.DollarPerHour) || math.IsInf(g.DollarPerHour, 0) {
+			if !nonNegFinite(g.DollarPerHour) {
 				return fmt.Errorf("serve: fleet group %d: dollar_per_hour must be finite and ≥ 0, got %g", i, g.DollarPerHour)
 			}
 		}
@@ -326,14 +326,17 @@ func (cfg Config) validate() error {
 	if !valid {
 		return fmt.Errorf("serve: unknown policy %q (have %v)", cfg.Policy, Policies)
 	}
-	if cfg.HorizonS <= 0 {
-		return fmt.Errorf("serve: horizon must be positive, got %g", cfg.HorizonS)
+	if !(cfg.HorizonS > 0) || math.IsInf(cfg.HorizonS, 1) {
+		return fmt.Errorf("serve: horizon must be finite and positive, got %g", cfg.HorizonS)
+	}
+	if !nonNegFinite(cfg.Rate) {
+		return fmt.Errorf("serve: rate must be finite and ≥ 0 (0 = auto), got %g", cfg.Rate)
 	}
 	if cfg.MaxBatch < 1 {
 		return fmt.Errorf("serve: max batch must be ≥ 1, got %d", cfg.MaxBatch)
 	}
-	if cfg.MaxDelayS < 0 {
-		return fmt.Errorf("serve: max queue delay must be ≥ 0, got %g", cfg.MaxDelayS)
+	if !nonNegFinite(cfg.MaxDelayS) {
+		return fmt.Errorf("serve: max queue delay must be finite and ≥ 0, got %g", cfg.MaxDelayS)
 	}
 	if cfg.Stats != "" && cfg.Stats != StatsStored && cfg.Stats != StatsStreaming {
 		return fmt.Errorf("serve: unknown stats mode %q (have %q, %q)", cfg.Stats, StatsStored, StatsStreaming)
@@ -347,7 +350,7 @@ func (cfg Config) validate() error {
 			return fmt.Errorf("serve: class %q defined more than once", c.Name)
 		}
 		classIdx[c.Name] = i
-		if c.DeadlineS < 0 || math.IsNaN(c.DeadlineS) || math.IsInf(c.DeadlineS, 0) {
+		if !nonNegFinite(c.DeadlineS) {
 			return fmt.Errorf("serve: class %q: deadline must be finite and ≥ 0, got %g", c.Name, c.DeadlineS)
 		}
 		if c.QueueLimit < 0 {
@@ -360,8 +363,8 @@ func (cfg Config) validate() error {
 	// two classes with split weights and misleading per-workload stats.
 	seen := make(map[string]bool, len(cfg.Mix))
 	for _, e := range cfg.Mix {
-		if e.Weight <= 0 {
-			return fmt.Errorf("serve: mix weight for %q must be positive, got %g", e.Workload, e.Weight)
+		if !(e.Weight > 0) || math.IsInf(e.Weight, 1) {
+			return fmt.Errorf("serve: mix weight for %q must be finite and positive, got %g", e.Workload, e.Weight)
 		}
 		if seen[e.Workload] {
 			return fmt.Errorf("%w: %q appears more than once", ErrDuplicateWorkload, e.Workload)
@@ -380,6 +383,9 @@ func (cfg Config) validate() error {
 	}
 	return nil
 }
+
+// nonNegFinite reports whether x is finite and ≥ 0 (false for NaN).
+func nonNegFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // ErrDuplicateWorkload is returned when Config.Mix names one workload
 // in more than one entry.

@@ -348,6 +348,14 @@ func TestServeValidation(t *testing.T) {
 		{MaxDelayS: -1},
 		{Mix: []MixEntry{{Workload: sweep.WorkloadHEMult, Weight: -1}}},
 		{Mix: []MixEntry{{Workload: "Quantum", Weight: 1}}},
+		{HorizonS: math.NaN()},
+		{HorizonS: math.Inf(1)},
+		{Rate: math.NaN()},
+		{Rate: math.Inf(1)},
+		{Rate: -5},
+		{MaxDelayS: math.NaN()},
+		{Mix: []MixEntry{{Workload: sweep.WorkloadHEMult, Weight: math.NaN()}}},
+		{Mix: []MixEntry{{Workload: sweep.WorkloadHEMult, Weight: math.Inf(1)}}},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

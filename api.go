@@ -79,7 +79,6 @@ import (
 	"cross/internal/gpusim"
 	"cross/internal/harness"
 	"cross/internal/hostbench"
-	"cross/internal/mat"
 	"cross/internal/modarith"
 	"cross/internal/ring"
 	"cross/internal/serve"
@@ -392,9 +391,6 @@ type ScalarPlan = bat.ScalarPlan
 // MatMulPlan is the compiled BAT form of a ModMatMul with pre-known
 // left operand.
 type MatMulPlan = bat.MatMulPlan
-
-// Permutation is MAT's reordering representation.
-type Permutation = mat.Permutation
 
 // Modulus is a prime modulus with precomputed reduction constants.
 type Modulus = modarith.Modulus

@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"cross"
@@ -25,27 +26,42 @@ import (
 	"cross/internal/tpusim"
 )
 
-func main() {
-	device := flag.String("device", "TPUv6e", "TPU generation (TPUv4, TPUv5e, TPUv5p, TPUv6e)")
-	set := flag.String("set", "D", "parameter set (A, B, C, D)")
-	op := flag.String("op", "mult", "operator: add, mult, rescale, rotate, keyswitch, bootstrap, ntt, intt")
-	batch := flag.Int("batch", 1, "batch size for ntt/intt")
-	cores := flag.Int("cores", 1, "core count: 1 profiles a single tensor core, >1 a pod")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one crossprof invocation and returns its exit code: 0
+// on success, 1 on an invalid value, 2 on a flag the parser rejects.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("crossprof", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	device := fs.String("device", "TPUv6e", "TPU generation (TPUv4, TPUv5e, TPUv5p, TPUv6e)")
+	set := fs.String("set", "D", "parameter set (A, B, C, D)")
+	op := fs.String("op", "mult", "operator: add, mult, rescale, rotate, keyswitch, bootstrap, ntt, intt")
+	batch := fs.Int("batch", 1, "batch size for ntt/intt (≥ 1)")
+	cores := fs.Int("cores", 1, "core count: 1 profiles a single tensor core, >1 a pod")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "crossprof: "+format+"\n", a...)
+		return 1
+	}
 
 	spec, ok := tpusim.SpecByName(*device)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown device %q\n", *device)
-		os.Exit(1)
+		return fail("unknown device %q", *device)
 	}
 	if *cores < 1 {
-		fmt.Fprintf(os.Stderr, "invalid core count %d (need ≥ 1)\n", *cores)
-		os.Exit(1)
+		return fail("invalid core count %d (need ≥ 1)", *cores)
+	}
+	if *batch < 1 {
+		return fail("invalid batch size %d (need ≥ 1)", *batch)
 	}
 	params, err := icross.NamedSet(*set)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail("%v", err)
 	}
 
 	// Devices and pods are both Targets; one Compile call covers both.
@@ -53,47 +69,35 @@ func main() {
 	if *cores > 1 {
 		pod, err := cross.NewPod(spec, *cores)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail("%v", err)
 		}
 		target = pod
 	}
 	comp, err := cross.Compile(target, params)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail("%v", err)
 	}
 
-	var sched *cross.Schedule
-	switch *op {
-	case "add":
-		sched = comp.LowerHEAdd()
-	case "mult":
-		sched = comp.LowerHEMult()
-	case "rescale":
-		sched = comp.LowerRescale()
-	case "rotate":
-		sched = comp.LowerRotate()
-	case "keyswitch":
-		sched = comp.LowerKeySwitch()
-	case "bootstrap":
-		sched = comp.LowerBootstrap(icross.DefaultBootstrapSchedule(params))
-	case "ntt":
-		sched = comp.LowerNTT(*batch)
-	case "intt":
-		sched = comp.LowerINTT(*batch)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown operator %q\n", *op)
-		os.Exit(1)
+	lower := map[string]func() *cross.Schedule{
+		"add": comp.LowerHEAdd, "mult": comp.LowerHEMult, "rescale": comp.LowerRescale,
+		"rotate": comp.LowerRotate, "keyswitch": comp.LowerKeySwitch,
+		"bootstrap": func() *cross.Schedule { return comp.LowerBootstrap(icross.DefaultBootstrapSchedule(params)) },
+		"ntt":       func() *cross.Schedule { return comp.LowerNTT(*batch) },
+		"intt":      func() *cross.Schedule { return comp.LowerINTT(*batch) },
+	}[*op]
+	if lower == nil {
+		return fail("unknown operator %q", *op)
 	}
+	sched := lower()
 
-	fmt.Printf("%s on %s, Set %s (N=2^%d, L=%d, dnum=%d, split %dx%d)\n",
+	fmt.Fprintf(stdout, "%s on %s, Set %s (N=2^%d, L=%d, dnum=%d, split %dx%d)\n",
 		sched.Op, sched.Target, *set, params.LogN, params.L, params.Dnum, params.R, params.C)
-	fmt.Printf("simulated latency: %.2f µs", sched.Total*1e6)
+	fmt.Fprintf(stdout, "simulated latency: %.2f µs", sched.Total*1e6)
 	if sched.Cores > 1 {
-		fmt.Printf(" (%d cores, %.2f µs collective)", sched.Cores, sched.Collective*1e6)
+		fmt.Fprintf(stdout, " (%d cores, %.2f µs collective)", sched.Cores, sched.Collective*1e6)
 	}
-	fmt.Printf("\nkernel launches: %s\n\n", sched.Kernels)
-	fmt.Println("category breakdown:")
-	fmt.Println(sched.Breakdown())
+	fmt.Fprintf(stdout, "\nkernel launches: %s\n\n", sched.Kernels)
+	fmt.Fprintln(stdout, "category breakdown:")
+	fmt.Fprintln(stdout, sched.Breakdown())
+	return 0
 }

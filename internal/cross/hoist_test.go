@@ -72,26 +72,8 @@ func TestVMModel(t *testing.T) {
 		if vm.AmortizedLatency(8) != 8/float64(vm.Cores) {
 			t.Errorf("%s: amortization wrong", vm.Name())
 		}
-		if vm.Throughput(10) != 10*float64(vm.Cores) {
-			t.Errorf("%s: throughput scaling wrong", vm.Name())
-		}
-		if vm.PowerW() <= 0 {
-			t.Errorf("%s: no power", vm.Name())
-		}
 	}
-	if _, ok := tpusim.VMByName("TPUv6e"); !ok {
-		t.Error("VMByName failed")
-	}
-	if _, ok := tpusim.VMByName("nope"); ok {
-		t.Error("VMByName accepted garbage")
-	}
-	v6 := tpusim.VMv6e()
-	if v6.CoresForPower(50) != 1 {
-		t.Error("power matching should floor at 1 core")
-	}
-	if v6.CoresForPower(1e6) != v6.Cores {
-		t.Error("power matching should cap at VM size")
-	}
+	v6 := vms[3]
 	if v6.Name() != "TPUv6e-8" {
 		t.Errorf("Name() = %q", v6.Name())
 	}

@@ -2,15 +2,17 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
-	"time"
 
 	"cross/internal/ckks"
 	"cross/internal/cross"
+	"cross/internal/hostbench"
 	"cross/internal/modarith"
 	"cross/internal/refdata"
 	"cross/internal/ring"
+	"cross/internal/rns"
 	"cross/internal/tpusim"
 )
 
@@ -141,9 +143,9 @@ func Fig13b() Report {
 
 // Fig14 reproduces the CPU-side kernel breakdown of HE operators: the
 // functional CKKS evaluator runs on this host, per-kernel wall times
-// are measured in isolation, and the operator mix is weighted by the
-// evaluator's true kernel counters (the OpenFHE profiling methodology
-// of §F).
+// are hostbench's isolated unit measurements, and the operator mix is
+// weighted by the evaluator's true kernel counters (the OpenFHE
+// profiling methodology of §F).
 func Fig14() Report {
 	p := ckks.MustParameters(12, 28, 8, 4)
 	kg := ckks.NewKeyGenerator(p, 3)
@@ -169,8 +171,10 @@ func Fig14() Report {
 	}
 	ct := ctr.Encrypt(pt)
 
-	// Per-kernel unit times on this host.
-	unit := measureUnitTimes(p)
+	unit, err := fig14Units(p, 3)
+	if err != nil {
+		panic(err)
+	}
 
 	var body string
 	for _, op := range []struct {
@@ -186,33 +190,35 @@ func Fig14() Report {
 			panic(err)
 		}
 		kc := ev.Kc
-		cats := map[string]float64{
-			"NTT":       float64(kc.NTTLimbs) * unit.nttLimb,
-			"INTT":      float64(kc.INTTLimbs) * unit.nttLimb,
-			"BasisConv": float64(kc.BConvCalls) * unit.bconv,
-			"VecModMul": float64(kc.VecMulN) * unit.vecMul,
-			"VecModAdd": float64(kc.VecAddN) * unit.vecAdd,
-			"Automorph": float64(kc.Automorph) * unit.autoLimb,
+		// Categories in a fixed order, so the total sums identically on
+		// every run.
+		cats := []struct {
+			name string
+			ns   float64
+		}{
+			{"NTT", float64(kc.NTTLimbs) * unit["ntt_inplace"]},
+			{"INTT", float64(kc.INTTLimbs) * unit["intt_inplace"]},
+			{"BasisConv", float64(kc.BConvCalls) * unit[bconvUnit]},
+			{"VecModMul", float64(kc.VecMulN) * unit["vecmulmod_barrett"]},
+			{"VecModAdd", float64(kc.VecAddN) * unit["vecaddmod"]},
+			{"Automorph", float64(kc.Automorph) * unit["automorphism_ntt"]},
 		}
 		var total float64
-		for _, v := range cats {
-			total += v
+		for _, c := range cats {
+			total += c.ns
 		}
+		sort.SliceStable(cats, func(i, j int) bool {
+			if cats[i].ns != cats[j].ns {
+				return cats[i].ns > cats[j].ns
+			}
+			return cats[i].name < cats[j].name
+		})
 		body += op.name + ":\n"
-		type kv struct {
-			k string
-			v float64
-		}
-		var list []kv
-		for k, v := range cats {
-			list = append(list, kv{k, v})
-		}
-		sort.Slice(list, func(i, j int) bool { return list[i].v > list[j].v })
-		for _, e := range list {
-			if e.v == 0 {
+		for _, c := range cats {
+			if c.ns == 0 {
 				continue
 			}
-			body += fmt.Sprintf("  %-10s %5.1f%%\n", e.k, 100*e.v/total)
+			body += fmt.Sprintf("  %-10s %5.1f%%\n", c.name, 100*c.ns/total)
 		}
 	}
 	return Report{
@@ -222,44 +228,50 @@ func Fig14() Report {
 	}
 }
 
-type unitTimes struct {
-	nttLimb, bconv, vecMul, vecAdd, autoLimb float64
+// fig14Kernels are the hostbench kernels Fig 14 prices its categories
+// from; bconvUnit names the ModUp-shape BConv it times itself.
+var fig14Kernels = []string{"ntt_inplace", "intt_inplace", "vecmulmod_barrett", "vecaddmod", "automorphism_ntt"}
+
+const bconvUnit = "bconv_modup"
+
+// fig14Units measures the best-of-repeats unit cost (ns) of every
+// kernel Fig 14 prices, on this host at the parameters' ring degree.
+// BConv is timed at the evaluator's key-switch ModUp shape: one digit
+// of Alpha limbs onto the other L−Alpha ciphertext limbs and the Alpha
+// special limbs.
+func fig14Units(p *ckks.Parameters, repeats int) (map[string]float64, error) {
+	samples, err := hostbench.Measure([]int{p.N()}, repeats)
+	if err != nil {
+		return nil, err
+	}
+	to := rns.MustBasis(append(append([]uint64{}, p.QPrimes[p.Alpha:]...), p.PPrimes...))
+	conv, err := rns.NewConverter(rns.MustBasis(p.QPrimes[:p.Alpha]), to)
+	if err != nil {
+		return nil, err
+	}
+	in := p.RingQP.NewPoly() // limbs [0, Alpha) are uniform mod the digit's primes
+	ring.NewSampler(11).Uniform(p.RingQP, in)
+	out := rns.AllocLimbs(to.L(), p.N())
+	ns, err := hostbench.Time(func() error { conv.ConvertApproxInto(out, in.Coeffs[:p.Alpha]); return nil }, repeats)
+	if err != nil {
+		return nil, err
+	}
+	samples = append(samples, hostbench.Sample{Kernel: bconvUnit, Ns: ns})
+	return unitCosts(samples, append(fig14Kernels, bconvUnit)...)
 }
 
-// measureUnitTimes times the primitive kernels on the host.
-func measureUnitTimes(p *ckks.Parameters) unitTimes {
-	rq := p.RingQP
-	n := p.N()
-	smp := ring.NewSampler(1)
-	poly := rq.NewPoly()
-	smp.Uniform(rq, poly)
-
-	timeIt := func(iters int, f func()) float64 {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			f()
+// unitCosts returns every sample's best ns/op by kernel name. A named
+// kernel without a positive, finite sample is an error: pricing it at
+// zero would print a silently wrong breakdown.
+func unitCosts(samples []hostbench.Sample, kernels ...string) (map[string]float64, error) {
+	unit := make(map[string]float64, len(samples))
+	for _, s := range samples {
+		unit[s.Kernel] = s.Best()
+	}
+	for _, k := range kernels {
+		if v := unit[k]; !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("harness: Fig 14: no usable hostbench sample for kernel %q", k)
 		}
-		return time.Since(start).Seconds() / float64(iters)
 	}
-
-	var u unitTimes
-	u.nttLimb = timeIt(64, func() { rq.NTTInPlace(0, poly.Coeffs[0]) })
-	m := rq.Moduli[0]
-	a := poly.Coeffs[0]
-	b := poly.Coeffs[1%len(poly.Coeffs)]
-	dst := make([]uint64, n)
-	u.vecMul = timeIt(64, func() { m.VecMulMod(dst, a, b, modarith.Barrett) })
-	u.vecAdd = timeIt(64, func() { m.VecAddMod(dst, a, b) })
-	idx, err := rq.AutomorphismNTTIndex(3)
-	if err != nil {
-		panic(err)
-	}
-	out := ring.NewPoly(1, n)
-	in := ring.NewPoly(1, n)
-	copy(in.Coeffs[0], a)
-	u.autoLimb = timeIt(64, func() { rq.AutomorphismNTT(in, out, idx) })
-	// One BConv ≈ alpha limbs of step-1 mults plus the (N, α, L) inner
-	// products; approximate with measured vector ops.
-	u.bconv = float64(p.Alpha)*u.vecMul + float64(p.L)*float64(p.Alpha)*u.vecMul/4
-	return u
+	return unit, nil
 }

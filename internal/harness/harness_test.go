@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"cross/internal/hostbench"
 )
 
 func TestAllReportsRenderWithoutViolations(t *testing.T) {
@@ -98,5 +100,34 @@ func TestIndividualReportsFast(t *testing.T) {
 		if strings.Contains(r.Notes, "VIOLATED") {
 			t.Errorf("%s: %s", r.ID, r.Notes)
 		}
+	}
+}
+
+// Fig 14 prices each category from a named hostbench kernel; a kernel
+// without a usable sample must fail the lookup rather than price its
+// category at zero.
+func TestFig14UnitLookupFailsOnMissingKernel(t *testing.T) {
+	var samples []hostbench.Sample
+	for i, k := range fig14Kernels {
+		samples = append(samples, hostbench.Sample{Kernel: k, Ns: []float64{float64(10 + i), float64(5 + i)}})
+	}
+	unit, err := unitCosts(samples, fig14Kernels...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range fig14Kernels {
+		if unit[k] != float64(5+i) {
+			t.Errorf("%s: unit = %v, want the best sample %d", k, unit[k], 5+i)
+		}
+	}
+	if _, err := unitCosts(samples[1:], fig14Kernels...); err == nil || !strings.Contains(err.Error(), fig14Kernels[0]) {
+		t.Errorf("missing %s: err = %v, want an error naming it", fig14Kernels[0], err)
+	}
+	if _, err := unitCosts(samples, "no_such_kernel"); err == nil {
+		t.Error("an unknown kernel name must fail the lookup")
+	}
+	samples[0].Ns = nil
+	if _, err := unitCosts(samples, fig14Kernels...); err == nil {
+		t.Error("a sample without timings must fail the lookup")
 	}
 }

@@ -46,9 +46,6 @@ func Measure(sizes []int, repeats int) ([]Sample, error) {
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("hostbench: no sizes to measure")
 	}
-	if repeats < 1 {
-		repeats = 1
-	}
 	var out []Sample
 	for si, n := range sizes {
 		ks, err := buildKernels(n, si == 0)
@@ -56,17 +53,9 @@ func Measure(sizes []int, repeats int) ([]Sample, error) {
 			return nil, err
 		}
 		for _, k := range ks {
-			iters, err := calibrateIters(k.op)
+			ns, err := Time(k.op, repeats)
 			if err != nil {
 				return nil, err
-			}
-			ns := make([]float64, 0, repeats)
-			for r := 0; r < repeats; r++ {
-				v, err := timeOp(k.op, iters)
-				if err != nil {
-					return nil, err
-				}
-				ns = append(ns, v)
 			}
 			out = append(out, Sample{Kernel: k.base, ID: k.id, N: n, Ns: ns})
 		}
@@ -74,34 +63,41 @@ func Measure(sizes []int, repeats int) ([]Sample, error) {
 	return out, nil
 }
 
-// calibrateIters warms the kernel up and doubles the iteration count
-// until one batch fills the measurement budget.
-func calibrateIters(op func() error) (int, error) {
+// Time is the host timer every wall-clock measurement goes through. It
+// warms op up, doubles the iteration count until one batch fills the
+// measurement budget, then returns repeats ns/op samples (at least one),
+// each over a batch of that many iterations. The first error op returns
+// aborts the measurement.
+func Time(op func() error, repeats int) ([]float64, error) {
 	if err := op(); err != nil { // warm-up: caches, page faults, JIT-free but honest
-		return 0, err
+		return nil, err
 	}
-	iters := 1
-	for {
+	batch := func(iters int) (time.Duration, error) {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
 			if err := op(); err != nil {
 				return 0, err
 			}
 		}
-		if time.Since(start) >= measureBudget || iters >= 1<<24 {
-			return iters, nil
-		}
-		iters *= 2
+		return time.Since(start), nil
 	}
-}
-
-// timeOp returns one ns/op sample over a fixed iteration batch.
-func timeOp(op func() error, iters int) (float64, error) {
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := op(); err != nil {
-			return 0, err
+	iters := 1
+	for ; iters < 1<<24; iters *= 2 {
+		d, err := batch(iters)
+		if err != nil {
+			return nil, err
+		}
+		if d >= measureBudget {
+			break
 		}
 	}
-	return float64(time.Since(start).Nanoseconds()) / float64(iters), nil
+	ns := make([]float64, max(repeats, 1))
+	for r := range ns {
+		d, err := batch(iters)
+		if err != nil {
+			return nil, err
+		}
+		ns[r] = float64(d.Nanoseconds()) / float64(iters)
+	}
+	return ns, nil
 }

@@ -1,6 +1,9 @@
 package hostbench
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // The kernel set at benchN must reproduce the exact record IDs the
 // committed BENCH_host.json has always carried — the refactor that
@@ -69,5 +72,39 @@ func TestMeasureRejectsBadSizes(t *testing.T) {
 	}
 	if _, err := Measure([]int{128}, 3); err == nil {
 		t.Error("size below the MAT split must error")
+	}
+}
+
+// Time is the one host timer: it returns exactly repeats positive
+// samples (at least one), and the first error the op returns aborts
+// the measurement.
+func TestTimeSamplesAndErrors(t *testing.T) {
+	sink := 0
+	for _, tc := range []struct{ repeats, want int }{{3, 3}, {1, 1}, {0, 1}} {
+		ns, err := Time(func() error { sink++; return nil }, tc.repeats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ns) != tc.want {
+			t.Errorf("repeats %d: %d samples, want %d", tc.repeats, len(ns), tc.want)
+		}
+		for _, v := range ns {
+			if !(v > 0) {
+				t.Errorf("repeats %d: sample %v, want > 0", tc.repeats, v)
+			}
+		}
+	}
+	boom := errors.New("boom")
+	for _, failAt := range []int{1, 2, 100} {
+		calls := 0
+		_, err := Time(func() error {
+			if calls++; calls == failAt {
+				return boom
+			}
+			return nil
+		}, 2)
+		if !errors.Is(err, boom) {
+			t.Errorf("op failing on call %d: err = %v, want %v", failAt, err, boom)
+		}
 	}
 }

@@ -12,23 +12,15 @@ type VM struct {
 	Cores int
 }
 
-// Paper VM configurations (Tab. IV: v4-8, v5litepod-4, v5p-8, v6e-8).
-func VMv4() VM  { return VM{Spec: TPUv4(), Cores: 8} }
-func VMv5e() VM { return VM{Spec: TPUv5e(), Cores: 4} }
-func VMv5p() VM { return VM{Spec: TPUv5p(), Cores: 8} }
-func VMv6e() VM { return VM{Spec: TPUv6e(), Cores: 8} }
-
-// AllVMs returns the four paper setups.
-func AllVMs() []VM { return []VM{VMv4(), VMv5e(), VMv5p(), VMv6e()} }
-
-// VMByName resolves a setup by its spec name.
-func VMByName(name string) (VM, bool) {
-	for _, vm := range AllVMs() {
-		if vm.Spec.Name == name {
-			return vm, true
-		}
+// AllVMs returns the four paper setups (Tab. IV: v4-8, v5litepod-4,
+// v5p-8, v6e-8).
+func AllVMs() []VM {
+	return []VM{
+		{Spec: TPUv4(), Cores: 8},
+		{Spec: TPUv5e(), Cores: 4},
+		{Spec: TPUv5p(), Cores: 8},
+		{Spec: TPUv6e(), Cores: 8},
 	}
-	return VM{}, false
 }
 
 // Name renders the paper's setup naming ("TPUv6e-8").
@@ -39,25 +31,4 @@ func (vm VM) Name() string { return fmt.Sprintf("%s-%d", vm.Spec.Name, vm.Cores)
 // so per-instance latency divides by the core count.
 func (vm VM) AmortizedLatency(perCore float64) float64 {
 	return perCore / float64(vm.Cores)
-}
-
-// Throughput converts one core's throughput to the VM's.
-func (vm VM) Throughput(perCore float64) float64 {
-	return perCore * float64(vm.Cores)
-}
-
-// PowerW returns the VM's approximate power draw.
-func (vm VM) PowerW() float64 { return vm.Spec.WattsPerCore * float64(vm.Cores) }
-
-// CoresForPower returns how many of this generation's cores fit a
-// power envelope (the §V-A power-matching rule, at least one core).
-func (vm VM) CoresForPower(watts float64) int {
-	n := int(watts / vm.Spec.WattsPerCore)
-	if n < 1 {
-		n = 1
-	}
-	if n > vm.Cores {
-		n = vm.Cores
-	}
-	return n
 }
